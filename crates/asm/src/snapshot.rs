@@ -4,25 +4,18 @@
 //! A snapshot lets repeated builds of mostly-unchanged assembly skip text
 //! parsing entirely: the CLI (`mao --emit-snapshot` / `--snapshot-dir`) and
 //! `maod` key snapshots by the input's content hash and load the IR straight
-//! from bytes. The format follows the same discipline as the PR 6/7 disk
-//! caches — versioned magic, embedded content key, checksummed body — so a
-//! corrupt, truncated, or version-skewed file is *detected and rejected*,
-//! never served (the stores evict such files on sight; `mao check`'s
-//! snapshot execution path proves byte-identical results against the text
-//! path).
+//! from bytes. A snapshot is a [`mao_frame`] frame — magic `MAOSNAP\x01`,
+//! version, the unit's ISA tag, the content key of the source text (0 if
+//! unkeyed), checksum — so a corrupt, truncated, or version-skewed file is
+//! *detected and rejected*, never served (the stores evict such files on
+//! sight; `mao check`'s snapshot execution path proves byte-identical
+//! results against the text path).
 //!
-//! Layout (all integers little-endian; `varint`/`zigzag` are LEB128):
+//! Body (`varint`/`zigzag` are LEB128):
 //!
 //! ```text
-//! magic    8B  b"MAOSNAP\x01"
-//! version  u32
-//! isa_tag  u32             which ISA the unit's instructions belong to
-//! body_len u64
-//! body:
-//!   key          u128      content hash of the source text (0 if unkeyed)
-//!   strtab_count varint    distinct strings, then per string: len + bytes
-//!   entry_count  varint    then per entry: tag byte + payload
-//! checksum u64             word-wise FNV-1a over body
+//! strtab_count varint    distinct strings, then per string: len + bytes
+//! entry_count  varint    then per entry: tag byte + payload
 //! ```
 //!
 //! Strings are deduplicated through a string table; symbol-typed fields
@@ -35,11 +28,11 @@
 //!
 //! Version history: v1 was x86-only (the pre-ISA-boundary format; its
 //! `isa_tag` slot was a reserved zero). v2 stamps the unit's [`IsaId`] in
-//! the header and adds the AArch64 instruction entry tag. v1 files are
-//! rejected as [`SnapshotError::StaleVersion`] and evicted by the stores,
-//! exactly like any other version skew.
-
-use std::fmt;
+//! the header and adds the AArch64 instruction entry tag. v3 moves onto the
+//! shared frame: the key leaves the body for the header, and the checksum
+//! covers the header too. Older files are rejected as
+//! [`SnapshotError::StaleVersion`] and evicted by the stores, exactly like
+//! any other version skew.
 
 use mao_aarch64::{A64Insn, A64Mnemonic, A64Operand, A64Reg};
 use mao_isa::{Insn, IsaId};
@@ -51,74 +44,23 @@ use mao_x86::Mnemonic;
 
 use crate::entry::{Align, DataItem, DataWidth, Directive, Entry};
 
+pub use mao_frame::FrameError as SnapshotError;
+use mao_frame::{Frame, Kind};
+
 /// Magic prefix of a snapshot file.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"MAOSNAP\x01";
 /// Current snapshot format version.
-pub const SNAPSHOT_VERSION: u32 = 2;
-/// Fixed header length (magic + version + reserved + body_len).
-const HEADER_LEN: usize = 8 + 4 + 4 + 8;
-
-/// Why a snapshot failed to decode.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SnapshotError {
-    /// Structurally invalid: bad magic, truncation, unknown tag, bad UTF-8.
-    Malformed(&'static str),
-    /// Valid container written by a different format version.
-    StaleVersion(u32),
-    /// Embedded content key does not match the expected key.
-    WrongKey,
-    /// Checksum mismatch: bit rot or a torn write.
-    Corrupt,
-}
-
-impl fmt::Display for SnapshotError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SnapshotError::Malformed(what) => write!(f, "malformed snapshot: {what}"),
-            SnapshotError::StaleVersion(v) => {
-                write!(f, "snapshot version {v} != {SNAPSHOT_VERSION}")
-            }
-            SnapshotError::WrongKey => write!(f, "snapshot content key mismatch"),
-            SnapshotError::Corrupt => write!(f, "snapshot checksum mismatch"),
-        }
-    }
-}
-
-impl std::error::Error for SnapshotError {}
+pub const SNAPSHOT_VERSION: u32 = 3;
+/// The snapshot frame kind (`.msnap` in a snapshot store).
+pub const KIND: Kind = Kind {
+    magic: SNAPSHOT_MAGIC,
+    version: SNAPSHOT_VERSION,
+    ext: "msnap",
+};
 
 /// 128-bit FNV-1a content hash of source text — the snapshot store key.
 pub fn content_key(text: &str) -> u128 {
-    const OFFSET: u128 = 0x6c62272e07bb014262b821756295c58d;
-    const PRIME: u128 = 0x0000000001000000000000000000013b;
-    let mut h = OFFSET;
-    for &b in text.as_bytes() {
-        h ^= u128::from(b);
-        h = h.wrapping_mul(PRIME);
-    }
-    h
-}
-
-/// Word-wise FNV-1a over `bytes`: 8 bytes per round so checksumming does not
-/// dominate snapshot load time (the byte-wise variant the result cache uses
-/// costs about a cycle per byte, which would eat the 10x load budget).
-fn checksum64(bytes: &[u8]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    let mut chunks = bytes.chunks_exact(8);
-    for c in &mut chunks {
-        h ^= u64::from_le_bytes(c.try_into().unwrap());
-        h = h.wrapping_mul(PRIME);
-    }
-    let rest = chunks.remainder();
-    if !rest.is_empty() {
-        let mut tail = [0u8; 8];
-        tail[..rest.len()].copy_from_slice(rest);
-        tail[7] = rest.len() as u8; // disambiguate zero-padding from zeros
-        h ^= u64::from_le_bytes(tail);
-        h = h.wrapping_mul(PRIME);
-    }
-    h
+    mao_frame::fnv1a128(text.as_bytes())
 }
 
 // ---------------------------------------------------------------------------
@@ -473,10 +415,8 @@ pub fn encode(entries: &[Entry], key: u128) -> Vec<u8> {
     }
     let entry_bytes = std::mem::take(&mut w.buf);
 
-    let mut body = Vec::with_capacity(entry_bytes.len() + w.table.len() * 12 + 32);
-    body.extend_from_slice(&key.to_le_bytes());
     let mut head = Writer {
-        buf: body,
+        buf: Vec::with_capacity(entry_bytes.len() + w.table.len() * 12 + 16),
         strings: std::collections::HashMap::new(),
         table: Vec::new(),
     };
@@ -487,79 +427,29 @@ pub fn encode(entries: &[Entry], key: u128) -> Vec<u8> {
     }
     let mut body = head.buf;
     body.extend_from_slice(&entry_bytes);
-
-    let mut out = Vec::with_capacity(HEADER_LEN + body.len() + 8);
-    out.extend_from_slice(&SNAPSHOT_MAGIC);
-    out.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-    out.extend_from_slice(&unit_isa(entries).tag().to_le_bytes());
-    out.extend_from_slice(&(body.len() as u64).to_le_bytes());
-    out.extend_from_slice(&body);
-    out.extend_from_slice(&checksum64(&body).to_le_bytes());
-    out
+    KIND.encode(unit_isa(entries).tag(), key, &body)
 }
 
 // ---------------------------------------------------------------------------
 // Decoding
 // ---------------------------------------------------------------------------
 
-/// Decode cursor. The hot path decodes ~10 bytes per entry, so the
-/// primitives are slice-splitting (`split_first`/`split_first_chunk`) with
-/// `#[inline(always)]`: one compare per read, no position arithmetic, and
-/// the compiler keeps the cursor in registers across an entry.
+/// Entry decode cursor: the frame crate's bounded reader plus the
+/// snapshot's interned string table.
 struct Reader<'a, 's> {
-    rest: &'a [u8],
+    r: mao_frame::Reader<'a>,
     syms: &'s [Sym],
 }
 
 impl<'a, 's> Reader<'a, 's> {
-    #[inline]
-    fn take(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
-        if n > self.rest.len() {
-            return Err(SnapshotError::Malformed("truncated body"));
-        }
-        let (head, tail) = self.rest.split_at(n);
-        self.rest = tail;
-        Ok(head)
-    }
-
     #[inline(always)]
     fn u8(&mut self) -> Result<u8, SnapshotError> {
-        match self.rest.split_first() {
-            Some((&b, tail)) => {
-                self.rest = tail;
-                Ok(b)
-            }
-            None => Err(SnapshotError::Malformed("truncated body")),
-        }
+        self.r.u8()
     }
 
     #[inline(always)]
     fn varint(&mut self) -> Result<u64, SnapshotError> {
-        // Single-byte fast path: the overwhelming majority of varints in a
-        // snapshot (operand counts, string indices, small displacements).
-        if let Some((&b, tail)) = self.rest.split_first() {
-            if b < 0x80 {
-                self.rest = tail;
-                return Ok(u64::from(b));
-            }
-        }
-        self.varint_multi()
-    }
-
-    fn varint_multi(&mut self) -> Result<u64, SnapshotError> {
-        let mut v = 0u64;
-        let mut shift = 0u32;
-        loop {
-            let b = self.u8()?;
-            if shift >= 64 {
-                return Err(SnapshotError::Malformed("varint overflow"));
-            }
-            v |= u64::from(b & 0x7f) << shift;
-            if b & 0x80 == 0 {
-                return Ok(v);
-            }
-            shift += 7;
-        }
+        self.r.varint()
     }
 
     #[inline(always)]
@@ -583,13 +473,7 @@ impl<'a, 's> Reader<'a, 's> {
 
     #[inline(always)]
     fn reg(&mut self) -> Result<Reg, SnapshotError> {
-        let (id, wb) = match self.rest.split_first_chunk::<2>() {
-            Some((&[id, wb], tail)) => {
-                self.rest = tail;
-                (id, wb)
-            }
-            None => return Err(SnapshotError::Malformed("truncated body")),
-        };
+        let [id, wb] = self.r.array()?;
         let id = RegId::from_index(id as usize).ok_or(SnapshotError::Malformed("register id"))?;
         let width =
             width_from_code(wb & 0x7f)?.ok_or(SnapshotError::Malformed("register width"))?;
@@ -674,13 +558,7 @@ impl<'a, 's> Reader<'a, 's> {
 
     #[inline]
     fn a64_insn(&mut self) -> Result<A64Insn, SnapshotError> {
-        let code = match self.rest.split_first_chunk::<2>() {
-            Some((&[c0, c1], tail)) => {
-                self.rest = tail;
-                u16::from_le_bytes([c0, c1])
-            }
-            None => return Err(SnapshotError::Malformed("truncated body")),
-        };
+        let code = u16::from_le_bytes(self.r.array()?);
         let mnemonic = A64Mnemonic::from_snapshot_code(code)
             .ok_or(SnapshotError::Malformed("a64 mnemonic code"))?;
         let n = self.varint()? as usize;
@@ -697,13 +575,8 @@ impl<'a, 's> Reader<'a, 's> {
     #[inline]
     fn insn(&mut self) -> Result<Instruction, SnapshotError> {
         // One 3-byte chunk read for the fixed head (code + flags).
-        let (code, flags) = match self.rest.split_first_chunk::<3>() {
-            Some((&[c0, c1, flags], tail)) => {
-                self.rest = tail;
-                (u16::from_le_bytes([c0, c1]), flags)
-            }
-            None => return Err(SnapshotError::Malformed("truncated body")),
-        };
+        let [c0, c1, flags] = self.r.array()?;
+        let code = u16::from_le_bytes([c0, c1]);
         let mnemonic =
             Mnemonic::from_snapshot_code(code).ok_or(SnapshotError::Malformed("mnemonic code"))?;
         let op_width = width_from_code(flags & 0x7)?;
@@ -781,7 +654,7 @@ impl<'a, 's> Reader<'a, 's> {
                 if n > 1 << 24 {
                     return Err(SnapshotError::Malformed("data item count"));
                 }
-                let mut items = Vec::with_capacity(n);
+                let mut items = Vec::with_capacity(self.r.capacity(n));
                 for _ in 0..n {
                     items.push(match self.u8()? {
                         0 => DataItem::Imm(self.zigzag()?),
@@ -820,53 +693,19 @@ impl<'a, 's> Reader<'a, 's> {
 
 /// The content key embedded in a snapshot, without a full decode.
 ///
-/// Validates magic/version/length/checksum (the cheap part) so callers can
-/// reject junk before trusting the key.
+/// Validates the frame (the cheap part) so callers can reject junk before
+/// trusting the key.
 pub fn snapshot_key(bytes: &[u8]) -> Result<u128, SnapshotError> {
-    let (body, _) = validate(bytes)?;
-    Ok(u128::from_le_bytes(body[..16].try_into().unwrap()))
+    Ok(KIND.decode(bytes, None)?.key)
 }
 
 /// The ISA tag stamped in a snapshot's header, without a full decode.
 pub fn snapshot_isa(bytes: &[u8]) -> Result<IsaId, SnapshotError> {
-    let (_, isa) = validate(bytes)?;
-    Ok(isa)
+    frame_isa(&KIND.decode(bytes, None)?)
 }
 
-/// Validate container framing and checksum, returning the body slice and
-/// the header's ISA tag.
-fn validate(bytes: &[u8]) -> Result<(&[u8], IsaId), SnapshotError> {
-    if bytes.len() < HEADER_LEN + 16 + 8 {
-        return Err(SnapshotError::Malformed("too short"));
-    }
-    if bytes[..8] != SNAPSHOT_MAGIC {
-        return Err(SnapshotError::Malformed("bad magic"));
-    }
-    let version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
-    if version != SNAPSHOT_VERSION {
-        return Err(SnapshotError::StaleVersion(version));
-    }
-    let isa_tag = u32::from_le_bytes(bytes[12..16].try_into().unwrap());
-    let isa = IsaId::from_tag(isa_tag).ok_or(SnapshotError::Malformed("isa tag"))?;
-    let body_len = u64::from_le_bytes(bytes[16..24].try_into().unwrap()) as usize;
-    let Some(total) = HEADER_LEN
-        .checked_add(body_len)
-        .and_then(|n| n.checked_add(8))
-    else {
-        return Err(SnapshotError::Malformed("length overflow"));
-    };
-    if bytes.len() != total {
-        return Err(SnapshotError::Malformed("length mismatch"));
-    }
-    let body = &bytes[HEADER_LEN..HEADER_LEN + body_len];
-    let expect = u64::from_le_bytes(bytes[HEADER_LEN + body_len..].try_into().unwrap());
-    if checksum64(body) != expect {
-        return Err(SnapshotError::Corrupt);
-    }
-    if body.len() < 16 {
-        return Err(SnapshotError::Malformed("body too short"));
-    }
-    Ok((body, isa))
+fn frame_isa(frame: &Frame<'_>) -> Result<IsaId, SnapshotError> {
+    IsaId::from_tag(frame.isa).ok_or(SnapshotError::Malformed("isa tag"))
 }
 
 /// A loaded (validated, indexed) snapshot whose entries decode on demand.
@@ -899,24 +738,21 @@ impl<'a> Snapshot<'a> {
         bytes: &'a [u8],
         expected_key: Option<u128>,
     ) -> Result<Snapshot<'a>, SnapshotError> {
-        let (body, isa) = validate(bytes)?;
-        let key = u128::from_le_bytes(body[..16].try_into().unwrap());
-        if let Some(expect) = expected_key {
-            if key != expect {
-                return Err(SnapshotError::WrongKey);
-            }
-        }
-        let mut r = Reader {
-            rest: &body[16..],
-            syms: &[],
-        };
+        Snapshot::from_frame(KIND.decode(bytes, expected_key)?)
+    }
+
+    /// [`Snapshot::load`] over an already validated frame (the snapshot
+    /// store hands these out).
+    pub fn from_frame(frame: Frame<'a>) -> Result<Snapshot<'a>, SnapshotError> {
+        let isa = frame_isa(&frame)?;
+        let mut r = mao_frame::Reader::new(frame.body);
         let nstrings = r.varint()? as usize;
         if nstrings > 1 << 24 {
             return Err(SnapshotError::Malformed("string table size"));
         }
         // Every string costs at least one body byte, so a lying count cannot
         // force an allocation larger than the snapshot itself.
-        let mut syms = Vec::with_capacity(nstrings.min(r.rest.len()));
+        let mut syms = Vec::with_capacity(r.capacity(nstrings));
         for _ in 0..nstrings {
             let len = r.varint()? as usize;
             let raw = r.take(len)?;
@@ -929,10 +765,10 @@ impl<'a> Snapshot<'a> {
             return Err(SnapshotError::Malformed("entry count"));
         }
         Ok(Snapshot {
-            key,
+            key: frame.key,
             isa,
             syms,
-            entry_bytes: r.rest,
+            entry_bytes: r.take(r.remaining())?,
             nentries,
         })
     }
@@ -961,18 +797,16 @@ impl<'a> Snapshot<'a> {
     /// pipeline uses — it needs the whole unit).
     pub fn to_entries(&self) -> Result<Vec<Entry>, SnapshotError> {
         let mut r = Reader {
-            rest: self.entry_bytes,
+            r: mao_frame::Reader::new(self.entry_bytes),
             syms: &self.syms,
         };
         // One body byte per entry minimum bounds the reservation even if
         // the count lies.
-        let mut entries = Vec::with_capacity(self.nentries.min(r.rest.len()));
+        let mut entries = Vec::with_capacity(r.r.capacity(self.nentries));
         for _ in 0..self.nentries {
             r.entry_into(&mut entries)?;
         }
-        if !r.rest.is_empty() {
-            return Err(SnapshotError::Malformed("trailing bytes"));
-        }
+        r.r.finish()?;
         Ok(entries)
     }
 
@@ -983,7 +817,7 @@ impl<'a> Snapshot<'a> {
     pub fn iter(&self) -> SnapshotEntries<'a, '_> {
         SnapshotEntries {
             r: Reader {
-                rest: self.entry_bytes,
+                r: mao_frame::Reader::new(self.entry_bytes),
                 syms: &self.syms,
             },
             remaining: self.nentries,
@@ -1008,11 +842,9 @@ impl Iterator for SnapshotEntries<'_, '_> {
 
     fn next(&mut self) -> Option<Result<Entry, SnapshotError>> {
         if self.remaining == 0 {
-            if !self.r.rest.is_empty() {
-                self.r.rest = &[];
-                return Some(Err(SnapshotError::Malformed("trailing bytes")));
-            }
-            return None;
+            let trailing = self.r.r.finish().err()?;
+            self.r.r = mao_frame::Reader::new(&[]);
+            return Some(Err(trailing));
         }
         self.remaining -= 1;
         self.scratch.clear();
@@ -1020,7 +852,7 @@ impl Iterator for SnapshotEntries<'_, '_> {
             Ok(()) => self.scratch.pop().map(Ok),
             Err(e) => {
                 self.remaining = 0;
-                self.r.rest = &[];
+                self.r.r = mao_frame::Reader::new(&[]);
                 Some(Err(e))
             }
         }
@@ -1040,6 +872,7 @@ pub fn decode(bytes: &[u8], expected_key: Option<u128>) -> Result<Vec<Entry>, Sn
 mod tests {
     use super::*;
     use crate::parse;
+    use mao_frame::HEADER_LEN;
 
     const SAMPLE: &str = "\t.text\n\t.globl main\n\t.type main, @function\nmain:\n\tpushq \
                           %rbp\n\tmovq %rsp, %rbp\n\tmovl $0, -4(%rbp)\n.L2:\n\tcmpl $9, \
@@ -1176,9 +1009,11 @@ mod tests {
 
     #[test]
     fn unknown_isa_tag_is_rejected() {
+        // A sound frame (the checksum covers the tag, so a poked byte would
+        // read as corruption) that claims an ISA nobody knows.
         let entries = parse("nop\n").unwrap();
-        let mut bytes = encode(&entries, 0);
-        bytes[12..16].copy_from_slice(&99u32.to_le_bytes());
+        let good = encode(&entries, 0);
+        let bytes = KIND.encode(99, 0, mao_frame::testing::body(&good));
         assert_eq!(
             decode(&bytes, None),
             Err(SnapshotError::Malformed("isa tag"))
@@ -1190,5 +1025,25 @@ mod tests {
         let a = content_key("nop\n");
         assert_eq!(a, content_key("nop\n"));
         assert_ne!(a, content_key("nop \n"));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// Damaged frames never decode; damaged bodies behind a valid
+        /// checksum reach the entry decoder and must not panic it.
+        #[test]
+        fn damaged_snapshots_never_decode(seed in proptest::any::<u64>()) {
+            let good = encode(&parse(SAMPLE).unwrap(), 5);
+            for bad in mao_frame::testing::damaged(&good, seed) {
+                proptest::prop_assert!(decode(&bad, None).is_err());
+                proptest::prop_assert!(Snapshot::load(&bad, Some(5)).is_err());
+            }
+            let reframed = mao_frame::testing::damage_body(&good, seed);
+            if let Ok(snap) = Snapshot::load(&reframed, Some(5)) {
+                let _ = snap.to_entries();
+                let _ = snap.iter().count();
+            }
+        }
     }
 }

@@ -1,15 +1,12 @@
 //! Content-addressed on-disk result store: the persistent cache tier.
 //!
-//! One self-verifying `.mc` file per 128-bit [`RequestKey`], so a daemon
-//! restart begins warm and multiple `maod` instances can share artifacts
-//! through a common directory. This module owns only the *entry codec* —
-//! magic+version stamp, embedded key, explicit lengths, FNV-1a body
-//! checksum ([`encode_entry`]/[`decode_entry`]); the file management
-//! (atomic writes, validated evict-never-serve reads, segmented
-//! scan-resistant LRU eviction, compact startup index) is the shared
-//! [`ArtifactStore`] machinery, which the layout and snapshot tiers reuse.
-//! The on-disk entry format is unchanged from when this module carried its
-//! own store: caches written by earlier builds are read back verbatim.
+//! One `.mc` frame per 128-bit [`RequestKey`], so a daemon restart begins
+//! warm and multiple `maod` instances can share artifacts through a common
+//! directory. This module owns only the *body codec* — a length-prefixed
+//! dump of the [`OptimizeOutcome`] fields; the frame and the file
+//! management (atomic writes, validated evict-never-serve reads, segmented
+//! scan-resistant LRU eviction, compact startup index) are the shared
+//! [`mao_frame`] machinery every persistent tier uses.
 //!
 //! The version stamp ([`DISK_FORMAT_VERSION`]) must be bumped whenever the
 //! serialized [`OptimizeOutcome`] shape *or the meaning of a cached result*
@@ -18,82 +15,25 @@
 //! pass string is part of the request key itself.
 
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::Path;
+
+use mao_frame::{ArtifactStore, FrameError, Kind, Reader, StoreConfig, StoreStats};
 
 use crate::protocol::OptimizeOutcome;
 use crate::result_cache::RequestKey;
-use crate::store::{ArtifactStore, StoreConfig, StoreStats};
 
 /// Bumped whenever the entry encoding or the meaning of a cached result
 /// changes; entries with any other version are treated as stale and
-/// evicted on contact.
-pub const DISK_FORMAT_VERSION: u32 = 1;
+/// evicted on contact. Version 2 moved the entry onto the shared frame.
+pub const DISK_FORMAT_VERSION: u32 = 2;
 
-/// 8-byte file magic. The trailing byte doubles as a human-readable format
-/// generation in hexdumps.
-const MAGIC: &[u8; 8] = b"MAODC\0\0\x01";
-
-/// Entry file extension.
-const EXT: &str = "mc";
-
-/// Construction parameters for a [`DiskCache`].
-#[derive(Debug, Clone)]
-pub struct DiskCacheConfig {
-    /// Directory holding the entries (created if missing).
-    pub dir: PathBuf,
-    /// Total byte budget across entries (0 = unbounded).
-    pub max_bytes: u64,
-    /// Force file + directory syncs on every write.
-    pub fsync: bool,
-}
-
-impl DiskCacheConfig {
-    /// Defaults: unbounded, no fsync.
-    pub fn new(dir: impl Into<PathBuf>) -> DiskCacheConfig {
-        DiskCacheConfig {
-            dir: dir.into(),
-            max_bytes: 0,
-            fsync: false,
-        }
-    }
-}
-
-/// Counters, cumulative over the cache's lifetime (this instance only —
-/// other instances sharing the directory keep their own).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DiskCacheStats {
-    /// Lookups served from disk.
-    pub hits: u64,
-    /// Lookups that found no (valid) entry.
-    pub misses: u64,
-    /// Entries written.
-    pub insertions: u64,
-    /// Entries deleted to respect the byte budget.
-    pub evictions: u64,
-    /// Corrupt/truncated/stale entries deleted instead of served.
-    pub corrupt: u64,
-    /// Bytes currently resident (as indexed by this instance).
-    pub bytes: u64,
-    /// Entries currently resident (as indexed by this instance).
-    pub entries: u64,
-    /// Configured byte budget (0 = unbounded).
-    pub max_bytes: u64,
-}
-
-impl From<StoreStats> for DiskCacheStats {
-    fn from(s: StoreStats) -> DiskCacheStats {
-        DiskCacheStats {
-            hits: s.hits,
-            misses: s.misses,
-            insertions: s.insertions,
-            evictions: s.evictions,
-            corrupt: s.corrupt,
-            bytes: s.bytes,
-            entries: s.entries,
-            max_bytes: s.max_bytes,
-        }
-    }
-}
+/// The `.mc` frame kind. Its ISA field is 0: the ISA is already part of
+/// the request key.
+const KIND: Kind = Kind {
+    magic: *b"MAODC\0\0\x01",
+    version: DISK_FORMAT_VERSION,
+    ext: "mc",
+};
 
 /// The persistent result tier: the `.mc` codec over an [`ArtifactStore`].
 pub struct DiskCache {
@@ -104,14 +44,10 @@ impl DiskCache {
     /// Open (creating if needed) the cache directory and index any entries
     /// already present — the restart-warm path and the shared-directory
     /// path both start here.
-    pub fn open(config: DiskCacheConfig) -> io::Result<DiskCache> {
-        let store = ArtifactStore::open(StoreConfig {
-            dir: config.dir,
-            max_bytes: config.max_bytes,
-            fsync: config.fsync,
-            ext: EXT,
-        })?;
-        Ok(DiskCache { store })
+    pub fn open(config: StoreConfig) -> io::Result<DiskCache> {
+        Ok(DiskCache {
+            store: ArtifactStore::open(KIND, config)?,
+        })
     }
 
     /// The directory entries live in.
@@ -126,23 +62,15 @@ impl DiskCache {
     }
 
     #[cfg(test)]
-    fn path_of(&self, key: RequestKey) -> PathBuf {
+    fn path_of(&self, key: RequestKey) -> std::path::PathBuf {
         self.store.path_of(key.raw())
     }
 
     /// Look up an entry, decoding and verifying it. Invalid entries are
     /// deleted and reported as misses; a hit refreshes the LRU position.
     pub fn get(&self, key: RequestKey) -> Option<OptimizeOutcome> {
-        let mut decoded = None;
         self.store
-            .get_with(key.raw(), |bytes| match decode_entry(bytes, key) {
-                Ok(outcome) => {
-                    decoded = Some(outcome);
-                    true
-                }
-                Err(_) => false,
-            })?;
-        decoded
+            .get(key.raw(), |frame| decode_body(frame.body).ok())
     }
 
     /// Write an entry (atomic tmp+rename), then evict entries past the byte
@@ -153,24 +81,9 @@ impl DiskCache {
     }
 
     /// Counter snapshot.
-    pub fn stats(&self) -> DiskCacheStats {
-        self.store.stats().into()
+    pub fn stats(&self) -> StoreStats {
+        self.store.stats()
     }
-}
-
-// ---------------------------------------------------------------------------
-// Entry encoding: magic, version, key, body length, body, FNV-1a checksum.
-// All integers little-endian. The body is a length-prefixed dump of the
-// OptimizeOutcome fields.
-// ---------------------------------------------------------------------------
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf29ce484222325u64;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x100000001b3);
-    }
-    hash
 }
 
 fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
@@ -178,7 +91,8 @@ fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
     out.extend_from_slice(bytes);
 }
 
-/// Serialize one entry to its on-disk bytes.
+/// Serialize one entry to its on-disk frame. All integers little-endian;
+/// strings are `u64`-length-prefixed, lists `u32`-count-prefixed.
 pub fn encode_entry(key: RequestKey, outcome: &OptimizeOutcome) -> Vec<u8> {
     let mut body = Vec::with_capacity(outcome.asm.len() + 256);
     put_bytes(&mut body, outcome.asm.as_bytes());
@@ -197,112 +111,33 @@ pub fn encode_entry(key: RequestKey, outcome: &OptimizeOutcome) -> Vec<u8> {
     for line in &outcome.trace {
         put_bytes(&mut body, line.as_bytes());
     }
-
-    let mut out = Vec::with_capacity(body.len() + 48);
-    out.extend_from_slice(MAGIC);
-    out.extend_from_slice(&DISK_FORMAT_VERSION.to_le_bytes());
-    out.extend_from_slice(&key.raw().to_le_bytes());
-    out.extend_from_slice(&(body.len() as u64).to_le_bytes());
-    out.extend_from_slice(&body);
-    out.extend_from_slice(&fnv1a(&body).to_le_bytes());
-    out
-}
-
-/// Entry decode failure (all variants are handled identically — evict —
-/// but the distinction helps tests and debugging).
-#[derive(Debug, PartialEq, Eq)]
-pub enum DecodeError {
-    /// Too short, bad magic, or declared lengths exceed the file.
-    Malformed,
-    /// Written by a different format generation.
-    StaleVersion,
-    /// The file claims to store a different key than its name implies.
-    WrongKey,
-    /// The body checksum does not match.
-    Corrupt,
-}
-
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
-        let end = self.pos.checked_add(n).ok_or(DecodeError::Malformed)?;
-        if end > self.bytes.len() {
-            return Err(DecodeError::Malformed);
-        }
-        let slice = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(slice)
-    }
-
-    fn u32(&mut self) -> Result<u32, DecodeError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, DecodeError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn string(&mut self) -> Result<String, DecodeError> {
-        let len = self.u64()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| DecodeError::Corrupt)
-    }
+    KIND.encode(0, key.raw(), &body)
 }
 
 /// Decode and verify one entry file's bytes for `expected` key.
-pub fn decode_entry(bytes: &[u8], expected: RequestKey) -> Result<OptimizeOutcome, DecodeError> {
-    let mut c = Cursor { bytes, pos: 0 };
-    if c.take(8)? != MAGIC {
-        return Err(DecodeError::Malformed);
-    }
-    if c.u32()? != DISK_FORMAT_VERSION {
-        return Err(DecodeError::StaleVersion);
-    }
-    let key = u128::from_le_bytes(c.take(16)?.try_into().unwrap());
-    if key != expected.raw() {
-        return Err(DecodeError::WrongKey);
-    }
-    let body_len = c.u64()? as usize;
-    let body_start = c.pos;
-    // The body plus its trailing 8-byte checksum must fit exactly.
-    if bytes.len() != body_start + body_len + 8 {
-        return Err(DecodeError::Malformed);
-    }
-    let body = &bytes[body_start..body_start + body_len];
-    let checksum = u64::from_le_bytes(bytes[body_start + body_len..].try_into().unwrap());
-    if fnv1a(body) != checksum {
-        return Err(DecodeError::Corrupt);
-    }
+pub fn decode_entry(bytes: &[u8], expected: RequestKey) -> Result<OptimizeOutcome, FrameError> {
+    decode_body(KIND.decode(bytes, Some(expected.raw()))?.body)
+}
 
-    let mut c = Cursor {
-        bytes: body,
-        pos: 0,
-    };
-    let asm = c.string()?;
+fn decode_body(body: &[u8]) -> Result<OptimizeOutcome, FrameError> {
+    let mut r = Reader::new(body);
+    let asm = r.str()?.to_owned();
     let mut passes = Vec::new();
-    for _ in 0..c.u32()? {
-        let name = c.string()?;
-        let transformations = c.u64()? as usize;
-        let matches = c.u64()? as usize;
+    for _ in 0..r.u32()? {
+        let name = r.str()?.to_owned();
+        let transformations = r.u64()? as usize;
+        let matches = r.u64()? as usize;
         passes.push((name, transformations, matches));
     }
     let mut timings_us = Vec::new();
-    for _ in 0..c.u32()? {
-        let name = c.string()?;
-        let us = c.u64()?;
-        timings_us.push((name, us));
+    for _ in 0..r.u32()? {
+        timings_us.push((r.str()?.to_owned(), r.u64()?));
     }
     let mut trace = Vec::new();
-    for _ in 0..c.u32()? {
-        trace.push(c.string()?);
+    for _ in 0..r.u32()? {
+        trace.push(r.str()?.to_owned());
     }
-    if c.pos != body.len() {
-        return Err(DecodeError::Malformed);
-    }
+    r.finish()?;
     Ok(OptimizeOutcome {
         asm,
         passes,
@@ -315,6 +150,9 @@ pub fn decode_entry(bytes: &[u8], expected: RequestKey) -> Result<OptimizeOutcom
 mod tests {
     use super::*;
     use crate::result_cache::request_key;
+    use mao_frame::testing;
+    use proptest::prelude::*;
+    use std::path::PathBuf;
 
     fn outcome(asm: &str) -> OptimizeOutcome {
         OptimizeOutcome {
@@ -359,10 +197,10 @@ mod tests {
         flipped[mid] ^= 0x40;
         assert!(decode_entry(&flipped, key).is_err(), "bit flip detected");
         let other = request_key("other\n", "DCE", mao::isa::IsaId::X86_64);
-        assert_eq!(decode_entry(&bytes, other), Err(DecodeError::WrongKey));
+        assert_eq!(decode_entry(&bytes, other), Err(FrameError::WrongKey));
         let mut stale = bytes.clone();
         stale[8] = 99; // version field
-        assert_eq!(decode_entry(&stale, key), Err(DecodeError::StaleVersion));
+        assert_eq!(decode_entry(&stale, key), Err(FrameError::StaleVersion(99)));
     }
 
     #[test]
@@ -370,7 +208,7 @@ mod tests {
         let dir = tempdir("roundtrip");
         let key = request_key("a\n", "DCE", mao::isa::IsaId::X86_64);
         {
-            let cache = DiskCache::open(DiskCacheConfig::new(&dir)).unwrap();
+            let cache = DiskCache::open(StoreConfig::new(&dir)).unwrap();
             assert!(cache.get(key).is_none());
             cache.put(key, &outcome("a\n"));
             assert_eq!(cache.get(key).unwrap().asm, "a\n");
@@ -378,7 +216,7 @@ mod tests {
             assert_eq!((s.hits, s.misses, s.insertions), (1, 1, 1));
         }
         // A fresh instance over the same directory starts warm.
-        let cache = DiskCache::open(DiskCacheConfig::new(&dir)).unwrap();
+        let cache = DiskCache::open(StoreConfig::new(&dir)).unwrap();
         assert_eq!(cache.stats().entries, 1);
         assert_eq!(cache.get(key).unwrap().asm, "a\n");
         let _ = std::fs::remove_dir_all(&dir);
@@ -386,21 +224,29 @@ mod tests {
 
     #[test]
     fn corrupt_file_is_evicted_not_served() {
-        let dir = tempdir("corrupt");
-        let cache = DiskCache::open(DiskCacheConfig::new(&dir)).unwrap();
-        let key = request_key("a\n", "DCE", mao::isa::IsaId::X86_64);
-        cache.put(key, &outcome("a\n"));
-        let path = cache.path_of(key);
-        let mut bytes = std::fs::read(&path).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0xff;
-        std::fs::write(&path, &bytes).unwrap();
-        assert!(cache.get(key).is_none());
-        assert!(!path.exists(), "corrupt entry deleted");
-        let s = cache.stats();
-        assert_eq!(s.corrupt, 1);
-        assert_eq!(s.entries, 0);
-        let _ = std::fs::remove_dir_all(&dir);
+        // A flipped byte, and a body-length field inflated to overflow any
+        // unchecked `header + len + checksum` sum.
+        for inflate in [false, true] {
+            let dir = tempdir(&format!("corrupt-{inflate}"));
+            let cache = DiskCache::open(StoreConfig::new(&dir)).unwrap();
+            let key = request_key("a\n", "DCE", mao::isa::IsaId::X86_64);
+            cache.put(key, &outcome("a\n"));
+            let path = cache.path_of(key);
+            let mut bytes = std::fs::read(&path).unwrap();
+            if inflate {
+                bytes[32..40].copy_from_slice(&u64::MAX.to_le_bytes()); // body_len
+            } else {
+                let mid = bytes.len() / 2;
+                bytes[mid] ^= 0xff;
+            }
+            std::fs::write(&path, &bytes).unwrap();
+            assert!(cache.get(key).is_none());
+            assert!(!path.exists(), "corrupt entry deleted");
+            let s = cache.stats();
+            assert_eq!(s.corrupt, 1);
+            assert_eq!(s.entries, 0);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]
@@ -408,7 +254,7 @@ mod tests {
         let dir = tempdir("evict");
         let one_entry =
             encode_entry(request_key("0", "", mao::isa::IsaId::X86_64), &outcome("0")).len() as u64;
-        let cache = DiskCache::open(DiskCacheConfig {
+        let cache = DiskCache::open(StoreConfig {
             dir: dir.clone(),
             max_bytes: one_entry * 2 + 1,
             fsync: false,
@@ -431,13 +277,33 @@ mod tests {
     #[test]
     fn two_instances_share_a_directory() {
         let dir = tempdir("share");
-        let a = DiskCache::open(DiskCacheConfig::new(&dir)).unwrap();
-        let b = DiskCache::open(DiskCacheConfig::new(&dir)).unwrap();
+        let a = DiskCache::open(StoreConfig::new(&dir)).unwrap();
+        let b = DiskCache::open(StoreConfig::new(&dir)).unwrap();
         let key = request_key("shared\n", "DCE", mao::isa::IsaId::X86_64);
         a.put(key, &outcome("shared\n"));
         // B never wrote this key but reads A's entry.
         assert_eq!(b.get(key).unwrap().asm, "shared\n");
         assert_eq!(b.stats().hits, 1);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Damaged frames never decode; damaged bodies behind a valid
+        /// checksum, and other kinds' bodies under a `.mc` header, reach
+        /// the body decoder and must not panic it.
+        #[test]
+        fn damaged_entries_never_decode(seed in any::<u64>()) {
+            let key = request_key("nop\n", "DCE", mao::isa::IsaId::X86_64);
+            let good = encode_entry(key, &outcome("nop\n"));
+            for bad in testing::damaged(&good, seed) {
+                prop_assert!(decode_entry(&bad, key).is_err());
+            }
+            let _ = decode_entry(&testing::damage_body(&good, seed), key);
+            let layout = crate::layout_disk::tests::sample_frame();
+            prop_assert!(decode_entry(&layout, key).is_err());
+            prop_assert!(decode_entry(&testing::reframe(&good, testing::body(&layout)), key).is_err());
+        }
     }
 }

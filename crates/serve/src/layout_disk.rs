@@ -7,12 +7,11 @@
 //! restarts and between instances sharing a cache directory, the same
 //! promotion the result cache got from its disk tier.
 //!
-//! Each solved [`Layout`] is serialized as a self-verifying `.ml` frame
-//! (magic, version, embedded unit-content key, FNV-1a checksum) and kept in
-//! an [`ArtifactStore`] — atomic writes, validated evict-never-serve reads,
-//! segmented LRU eviction, startup index. The store plugs into core via the
-//! [`mao::LayoutStore`] trait; `Engine::build` wires one per daemon under
-//! `<cache_dir>/layout`.
+//! Each solved [`Layout`] is an `.ml` frame (unit-content key and ISA tag in
+//! the header) kept in an [`ArtifactStore`] — atomic writes, validated
+//! evict-never-serve reads, segmented LRU eviction, startup index. The store
+//! plugs into core via the [`mao::LayoutStore`] trait; `Engine::build` wires
+//! one per daemon under `<cache_dir>/layout`.
 //!
 //! The frame deliberately omits `Layout::metrics` (solver telemetry, not
 //! layout): a loaded layout reports zeroed metrics and `agrees_with`
@@ -23,34 +22,30 @@ use std::io;
 use mao::isa::IsaId;
 use mao::relax::BranchForm;
 use mao::Layout;
-
-use crate::store::{ArtifactStore, StoreConfig, StoreStats};
+use mao_frame::{ArtifactStore, Frame, Kind, Reader, StoreConfig, StoreStats};
 
 /// Bumped whenever the frame encoding or the meaning of a stored layout
 /// changes (e.g. relaxation semantics); other versions are evicted on
-/// contact. Version 2 added the ISA tag after the unit-content key — a
-/// layout solved for one instruction set must never be served for
-/// another, and v1 frames (implicitly x86-64, pre-dating the tag) are
-/// evicted like any other stale version.
-pub const LAYOUT_FORMAT_VERSION: u32 = 2;
+/// contact. Version 2 added the ISA tag — a layout solved for one
+/// instruction set must never be served for another. Version 3 moved the
+/// entry onto the shared frame.
+pub const LAYOUT_FORMAT_VERSION: u32 = 3;
 
-/// 8-byte file magic; trailing byte doubles as a format generation.
-const MAGIC: &[u8; 8] = b"MAOLYT\0\x01";
+/// The `.ml` frame kind.
+const KIND: Kind = Kind {
+    magic: *b"MAOLYT\0\x01",
+    version: LAYOUT_FORMAT_VERSION,
+    ext: "ml",
+};
 
-/// Entry file extension.
-const EXT: &str = "ml";
+/// Body bytes per layout entry: address, size, branch form.
+const ENTRY_BYTES: usize = 8 + 4 + 1;
 
-/// Hard cap on per-unit entry counts accepted at decode (matches the
-/// snapshot codec's limit; a declared length past this is malformed, not an
-/// allocation request).
-const MAX_ENTRIES: usize = 1 << 28;
-
-/// Serialize one layout to its on-disk frame.
+/// Serialize one layout to its on-disk frame. Body: entry count, then the
+/// addresses, sizes and branch forms as columns, then the iteration count.
 pub fn encode_layout(key: u128, isa: IsaId, layout: &Layout) -> Vec<u8> {
     let n = layout.addr.len();
-    let mut body = Vec::with_capacity(20 + n * 13 + 16);
-    body.extend_from_slice(&key.to_le_bytes());
-    body.extend_from_slice(&isa.tag().to_le_bytes());
+    let mut body = Vec::with_capacity(8 + n * ENTRY_BYTES + 8);
     body.extend_from_slice(&(n as u64).to_le_bytes());
     for &addr in &layout.addr {
         body.extend_from_slice(&addr.to_le_bytes());
@@ -66,14 +61,7 @@ pub fn encode_layout(key: u128, isa: IsaId, layout: &Layout) -> Vec<u8> {
         });
     }
     body.extend_from_slice(&(layout.iterations as u64).to_le_bytes());
-
-    let mut out = Vec::with_capacity(body.len() + 28);
-    out.extend_from_slice(MAGIC);
-    out.extend_from_slice(&LAYOUT_FORMAT_VERSION.to_le_bytes());
-    out.extend_from_slice(&(body.len() as u64).to_le_bytes());
-    out.extend_from_slice(&body);
-    out.extend_from_slice(&fnv1a(&body).to_le_bytes());
-    out
+    KIND.encode(isa.tag(), key, &body)
 }
 
 /// Decode and verify one frame for the unit-content key and ISA it claims
@@ -82,58 +70,38 @@ pub fn encode_layout(key: u128, isa: IsaId, layout: &Layout) -> Vec<u8> {
 /// byte — returns `None`; the caller treats the file as corrupt and evicts
 /// it.
 pub fn decode_layout(bytes: &[u8], expected_key: u128, expected_isa: IsaId) -> Option<Layout> {
-    // Header: magic(8) version(4) body_len(8); trailer: checksum(8).
-    if bytes.len() < 20 + 8 || &bytes[..8] != MAGIC {
+    decode_body(KIND.decode(bytes, Some(expected_key)).ok()?, expected_isa)
+}
+
+fn decode_body(frame: Frame<'_>, expected_isa: IsaId) -> Option<Layout> {
+    if IsaId::from_tag(frame.isa) != Some(expected_isa) {
         return None;
     }
-    if u32::from_le_bytes(bytes[8..12].try_into().unwrap()) != LAYOUT_FORMAT_VERSION {
+    let mut r = Reader::new(frame.body);
+    let n = usize::try_from(r.u64().ok()?).ok()?;
+    // The columns must fill the body exactly, which also bounds every
+    // allocation below by the input.
+    if n.checked_mul(ENTRY_BYTES)?.checked_add(8)? != r.remaining() {
         return None;
     }
-    let body_len = u64::from_le_bytes(bytes[12..20].try_into().unwrap()) as usize;
-    if bytes.len() != 20 + body_len + 8 {
-        return None;
-    }
-    let body = &bytes[20..20 + body_len];
-    let checksum = u64::from_le_bytes(bytes[20 + body_len..].try_into().unwrap());
-    if fnv1a(body) != checksum {
-        return None;
-    }
-    if body.len() < 28 {
-        return None;
-    }
-    if u128::from_le_bytes(body[..16].try_into().unwrap()) != expected_key {
-        return None;
-    }
-    let isa_tag = u32::from_le_bytes(body[16..20].try_into().unwrap());
-    if IsaId::from_tag(isa_tag) != Some(expected_isa) {
-        return None;
-    }
-    let n = u64::from_le_bytes(body[20..28].try_into().unwrap()) as usize;
-    if n > MAX_ENTRIES || body.len() != 28 + n * 8 + n * 4 + n + 8 {
-        return None;
-    }
-    let mut pos = 28;
     let mut addr = Vec::with_capacity(n);
     for _ in 0..n {
-        addr.push(u64::from_le_bytes(body[pos..pos + 8].try_into().unwrap()));
-        pos += 8;
+        addr.push(r.u64().ok()?);
     }
     let mut size = Vec::with_capacity(n);
     for _ in 0..n {
-        size.push(u32::from_le_bytes(body[pos..pos + 4].try_into().unwrap()));
-        pos += 4;
+        size.push(r.u32().ok()?);
     }
     let mut branch_form = Vec::with_capacity(n);
     for _ in 0..n {
-        branch_form.push(match body[pos] {
+        branch_form.push(match r.u8().ok()? {
             0 => None,
             1 => Some(BranchForm::Rel8),
             2 => Some(BranchForm::Rel32),
             _ => return None,
         });
-        pos += 1;
     }
-    let iterations = u64::from_le_bytes(body[pos..pos + 8].try_into().unwrap()) as usize;
+    let iterations = r.u64().ok()? as usize;
     Some(Layout {
         addr,
         size,
@@ -141,15 +109,6 @@ pub fn decode_layout(bytes: &[u8], expected_key: u128, expected_isa: IsaId) -> O
         iterations,
         metrics: Default::default(),
     })
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf29ce484222325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x100000001b3);
-    }
-    hash
 }
 
 /// The `.ml` codec over an [`ArtifactStore`], implementing
@@ -162,24 +121,18 @@ pub struct DiskLayoutStore {
 }
 
 impl DiskLayoutStore {
-    /// Open (creating if needed) a layout store rooted at `config.dir`.
-    pub fn open(config: StoreConfig) -> io::Result<DiskLayoutStore> {
-        debug_assert_eq!(config.ext, EXT);
-        Ok(DiskLayoutStore {
-            store: ArtifactStore::open(config)?,
-        })
-    }
-
-    /// Convenience: open under `dir` with a byte budget (0 = unbounded).
+    /// Open (creating if needed) a layout store under `dir` with a byte
+    /// budget (0 = unbounded).
     pub fn open_dir(
         dir: impl Into<std::path::PathBuf>,
         max_bytes: u64,
     ) -> io::Result<DiskLayoutStore> {
-        DiskLayoutStore::open(StoreConfig {
-            dir: dir.into(),
+        let config = StoreConfig {
             max_bytes,
-            fsync: false,
-            ext: EXT,
+            ..StoreConfig::new(dir)
+        };
+        Ok(DiskLayoutStore {
+            store: ArtifactStore::open(KIND, config)?,
         })
     }
 
@@ -196,12 +149,7 @@ impl DiskLayoutStore {
 
 impl mao::LayoutStore for DiskLayoutStore {
     fn load(&self, key: u128, isa: IsaId) -> Option<Layout> {
-        let mut decoded = None;
-        self.store.get_with(key, |bytes| {
-            decoded = decode_layout(bytes, key, isa);
-            decoded.is_some()
-        })?;
-        decoded
+        self.store.get(key, |frame| decode_body(frame, isa))
     }
 
     fn store(&self, key: u128, isa: IsaId, layout: &Layout) {
@@ -210,9 +158,11 @@ impl mao::LayoutStore for DiskLayoutStore {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use mao::LayoutStore as _;
+    use mao_frame::testing;
+    use proptest::prelude::*;
     use std::path::PathBuf;
 
     fn layout() -> Layout {
@@ -295,20 +245,60 @@ mod tests {
 
     #[test]
     fn store_roundtrip_and_corrupt_eviction() {
-        let dir = tempdir("store");
-        let s = DiskLayoutStore::open_dir(&dir, 0).unwrap();
-        assert!(s.load(7, IsaId::X86_64).is_none());
-        s.store(7, IsaId::X86_64, &layout());
-        assert!(s.load(7, IsaId::X86_64).unwrap().agrees_with(&layout()));
-        // Corrupt the file on disk: the next load evicts, never serves.
-        let path = dir.join(format!("{:032x}.ml", 7u128));
-        let mut bytes = std::fs::read(&path).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0xff;
-        std::fs::write(&path, &bytes).unwrap();
-        assert!(s.load(7, IsaId::X86_64).is_none());
-        assert!(!path.exists(), "corrupt layout deleted");
-        assert_eq!(s.stats().corrupt, 1);
-        let _ = std::fs::remove_dir_all(&dir);
+        // A flipped byte, and a body-length field inflated to overflow any
+        // unchecked `header + len + checksum` sum.
+        for inflate in [false, true] {
+            let dir = tempdir(&format!("store-{inflate}"));
+            let s = DiskLayoutStore::open_dir(&dir, 0).unwrap();
+            assert!(s.load(7, IsaId::X86_64).is_none());
+            s.store(7, IsaId::X86_64, &layout());
+            assert!(s.load(7, IsaId::X86_64).unwrap().agrees_with(&layout()));
+            // Damage the file on disk: the next load evicts, never serves.
+            let path = dir.join(format!("{:032x}.ml", 7u128));
+            let mut bytes = std::fs::read(&path).unwrap();
+            if inflate {
+                bytes[32..40].copy_from_slice(&(u64::MAX - 7).to_le_bytes()); // body_len
+            } else {
+                let mid = bytes.len() / 2;
+                bytes[mid] ^= 0xff;
+            }
+            std::fs::write(&path, &bytes).unwrap();
+            assert!(s.load(7, IsaId::X86_64).is_none());
+            assert!(!path.exists(), "corrupt layout deleted");
+            assert_eq!(s.stats().corrupt, 1);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    /// A valid `.ml` frame (key 42, x86-64), for cross-kind splices.
+    pub(crate) fn sample_frame() -> Vec<u8> {
+        encode_layout(42, IsaId::X86_64, &layout())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Damaged frames never decode; damaged bodies behind a valid
+        /// checksum, and a `.mc` body under a `.ml` header, reach the body
+        /// decoder and must not panic it.
+        #[test]
+        fn damaged_layouts_never_decode(seed in any::<u64>()) {
+            let good = sample_frame();
+            for bad in testing::damaged(&good, seed) {
+                prop_assert!(decode_layout(&bad, 42, IsaId::X86_64).is_none());
+            }
+            let _ = decode_layout(&testing::damage_body(&good, seed), 42, IsaId::X86_64);
+            let key = crate::result_cache::request_key("nop\n", "DCE", IsaId::X86_64);
+            let outcome = crate::OptimizeOutcome {
+                asm: "nop\n".into(),
+                passes: vec![],
+                timings_us: vec![],
+                trace: vec![],
+            };
+            let mc = crate::disk_cache::encode_entry(key, &outcome);
+            prop_assert!(decode_layout(&mc, 42, IsaId::X86_64).is_none());
+            let spliced = testing::reframe(&good, testing::body(&mc));
+            prop_assert!(decode_layout(&spliced, 42, IsaId::X86_64).is_none());
+        }
     }
 }

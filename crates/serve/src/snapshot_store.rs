@@ -11,21 +11,17 @@
 //!
 //! The `.msnap` files are verbatim [`mao_asm::snapshot::encode`] output —
 //! byte-identical to what `mao --emit-snapshot` writes — so artifacts move
-//! freely between the store and explicit snapshot files. The snapshot codec
-//! is fully self-verifying (magic, version, embedded key, checksum);
-//! corrupt, truncated, or version-skewed files fail decode and the store
-//! evicts them without serving.
+//! freely between the store and explicit snapshot files. A snapshot is a
+//! [`mao_frame`] frame like every other stored artifact; corrupt,
+//! truncated, or version-skewed files fail validation and the store evicts
+//! them without serving.
 
 use std::io;
 use std::path::PathBuf;
 
-use mao_asm::snapshot;
+use mao_asm::snapshot::{self, Snapshot};
 use mao_asm::Entry;
-
-use crate::store::{ArtifactStore, StoreConfig, StoreStats};
-
-/// Entry file extension.
-const EXT: &str = "msnap";
+use mao_frame::{ArtifactStore, StoreConfig, StoreStats};
 
 /// A content-addressed store of parsed-unit snapshots.
 #[derive(Debug)]
@@ -37,13 +33,12 @@ impl SnapshotStore {
     /// Open (creating if needed) a snapshot store under `dir` with a byte
     /// budget (0 = unbounded).
     pub fn open(dir: impl Into<PathBuf>, max_bytes: u64) -> io::Result<SnapshotStore> {
+        let config = StoreConfig {
+            max_bytes,
+            ..StoreConfig::new(dir)
+        };
         Ok(SnapshotStore {
-            store: ArtifactStore::open(StoreConfig {
-                dir: dir.into(),
-                max_bytes,
-                fsync: false,
-                ext: EXT,
-            })?,
+            store: ArtifactStore::open(snapshot::KIND, config)?,
         })
     }
 
@@ -61,12 +56,11 @@ impl SnapshotStore {
     /// Like [`SnapshotStore::load`] with a precomputed key (callers that
     /// already hashed the input avoid a second pass over it).
     pub fn load_key(&self, key: u128) -> Option<Vec<Entry>> {
-        let mut decoded = None;
-        self.store.get_with(key, |bytes| {
-            decoded = snapshot::decode(bytes, Some(key)).ok();
-            decoded.is_some()
-        })?;
-        decoded
+        self.store.get(key, |frame| {
+            Snapshot::from_frame(frame)
+                .and_then(|snap| snap.to_entries())
+                .ok()
+        })
     }
 
     /// Encode and store a snapshot of `entries` parsed from input with

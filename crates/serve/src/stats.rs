@@ -714,7 +714,7 @@ mod tests {
     fn disk_tier_and_shards_render_when_present() {
         let stats = ServerStats::default();
         let mut result_cache = ResultCacheStats::default();
-        result_cache.disk = Some(crate::disk_cache::DiskCacheStats {
+        result_cache.disk = Some(mao_frame::StoreStats {
             hits: 7,
             misses: 2,
             insertions: 9,
@@ -723,6 +723,7 @@ mod tests {
             bytes: 4096,
             entries: 8,
             max_bytes: 1 << 20,
+            ..Default::default()
         });
         let shard = ShardStats {
             shard: 0,

@@ -8,34 +8,35 @@
 //! results are cached too ("searched, nothing cheaper"), which is what
 //! makes warm runs skip the search entirely.
 //!
-//! The on-disk format follows `crates/serve/src/disk_cache.rs`: one file
-//! per 128-bit key, magic + format-version stamp, explicit lengths, an
-//! FNV-1a body checksum, atomic `.tmp-<pid>-<n>` + rename writes.
-//! Truncated, bit-flipped, stale, or misnamed files fail decode and are
-//! evicted, never served. Rewrites are stored as canonical AT&T text and
-//! reparsed on load — and every cache hit is still re-verified against
-//! the window before being applied, so a corrupted-but-well-formed entry
-//! can degrade performance, never correctness.
+//! The disk tier is an unbounded [`ArtifactStore`] of `.msr` frames, the
+//! store every persistent cache shares: atomic writes, and truncated,
+//! bit-flipped, stale, or misnamed files evicted, never served. Rewrites
+//! are stored as canonical AT&T text and reparsed on load — and every cache
+//! hit is still re-verified against the window before being applied, so a
+//! corrupted-but-well-formed entry can degrade performance, never
+//! correctness.
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
-use std::io::Write as _;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::path::PathBuf;
 use std::sync::Mutex;
 
 use mao::MaoUnit;
+use mao_frame::{ArtifactStore, FrameError, Kind, Reader, StoreConfig};
 use mao_x86::Instruction;
 
 /// Bumped whenever the entry encoding or the meaning of a cached rewrite
 /// changes; entries with any other version are evicted on contact.
-pub const REWRITE_FORMAT_VERSION: u32 = 1;
+/// Version 2 moved the entry onto the shared frame.
+pub const REWRITE_FORMAT_VERSION: u32 = 2;
 
-/// 8-byte file magic ("MAO Superopt Rewrite").
-const MAGIC: &[u8; 8] = b"MAOSR\0\0\x01";
-
-/// Entry file extension.
-const EXT: &str = "msr";
+/// The `.msr` frame kind ("MAO Superopt Rewrite"). Its ISA field is 0:
+/// canonical windows are x86-64 text, and the text is the key.
+const KIND: Kind = Kind {
+    magic: *b"MAOSR\0\0\x01",
+    version: REWRITE_FORMAT_VERSION,
+    ext: "msr",
+};
 
 /// What the cache knows about one canonical window.
 #[derive(Debug, Clone, PartialEq)]
@@ -61,18 +62,16 @@ pub struct CacheStats {
 /// Two-tier rewrite store: an in-memory map always, a shared directory
 /// when configured.
 pub struct RewriteCache {
-    dir: Option<PathBuf>,
+    disk: Option<ArtifactStore>,
     mem: Mutex<HashMap<u128, CachedResult>>,
     stats: Mutex<CacheStats>,
 }
-
-static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
 
 impl RewriteCache {
     /// In-memory only (the default for one-shot pipeline runs).
     pub fn in_memory() -> RewriteCache {
         RewriteCache {
-            dir: None,
+            disk: None,
             mem: Mutex::new(HashMap::new()),
             stats: Mutex::new(CacheStats::default()),
         }
@@ -81,79 +80,49 @@ impl RewriteCache {
     /// Backed by `dir` (created if missing); entries persist across runs
     /// and may be shared between processes.
     pub fn persistent(dir: impl Into<PathBuf>) -> std::io::Result<RewriteCache> {
-        let dir = dir.into();
-        std::fs::create_dir_all(&dir)?;
         Ok(RewriteCache {
-            dir: Some(dir),
-            mem: Mutex::new(HashMap::new()),
-            stats: Mutex::new(CacheStats::default()),
+            disk: Some(ArtifactStore::open(KIND, StoreConfig::new(dir))?),
+            ..RewriteCache::in_memory()
         })
     }
 
     /// Counters so far.
     pub fn stats(&self) -> CacheStats {
-        *self.stats.lock().unwrap()
-    }
-
-    /// Number of entries reachable from memory (loaded or stored this
-    /// run).
-    pub fn resident(&self) -> usize {
-        self.mem.lock().unwrap().len()
+        CacheStats {
+            corrupt: self.disk.as_ref().map_or(0, |d| d.stats().corrupt),
+            ..*self.stats.lock().unwrap()
+        }
     }
 
     /// Look up a canonical window key.
     pub fn load(&self, key: u128) -> Option<CachedResult> {
-        if let Some(hit) = self.mem.lock().unwrap().get(&key).cloned() {
-            self.stats.lock().unwrap().hits += 1;
-            return Some(hit);
+        let in_memory = self.mem.lock().unwrap().get(&key).cloned();
+        let hit = in_memory.or_else(|| {
+            let disk = self.disk.as_ref()?;
+            let result = disk.get(key, |frame| decode_body(frame.body).ok())?;
+            self.mem.lock().unwrap().insert(key, result.clone());
+            Some(result)
+        });
+        let mut stats = self.stats.lock().unwrap();
+        if hit.is_some() {
+            stats.hits += 1;
+        } else {
+            stats.misses += 1;
         }
-        if let Some(dir) = &self.dir {
-            let path = entry_path(dir, key);
-            if let Ok(bytes) = std::fs::read(&path) {
-                match decode_entry(&bytes, key) {
-                    Ok(result) => {
-                        self.mem.lock().unwrap().insert(key, result.clone());
-                        self.stats.lock().unwrap().hits += 1;
-                        return Some(result);
-                    }
-                    Err(_) => {
-                        // Evicted, never served.
-                        let _ = std::fs::remove_file(&path);
-                        self.stats.lock().unwrap().corrupt += 1;
-                    }
-                }
-            }
-        }
-        self.stats.lock().unwrap().misses += 1;
-        None
+        hit
     }
 
     /// Record a search result.
     pub fn store(&self, key: u128, result: &CachedResult) {
         self.mem.lock().unwrap().insert(key, result.clone());
-        if let Some(dir) = &self.dir {
-            let bytes = encode_entry(key, result);
-            let _ = write_atomic(dir, key, &bytes);
+        if let Some(disk) = &self.disk {
+            disk.put(key, &encode_entry(key, result));
         }
     }
 }
 
-fn entry_path(dir: &Path, key: u128) -> PathBuf {
-    dir.join(format!("{key:032x}.{EXT}"))
-}
-
-/// FNV-1a over the body (the disk-cache checksum).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// Serialize: magic, version, key, body length, body, checksum. Body is a
-/// kind byte plus the rewrite's canonical AT&T text.
+/// Serialize to a frame whose body is a kind byte plus, for a rewrite, its
+/// canonical AT&T text.
 fn encode_entry(key: u128, result: &CachedResult) -> Vec<u8> {
     let mut body = Vec::new();
     match result {
@@ -168,76 +137,34 @@ fn encode_entry(key: u128, result: &CachedResult) -> Vec<u8> {
             body.extend_from_slice(text.as_bytes());
         }
     }
-    let mut out = Vec::with_capacity(body.len() + 44);
-    out.extend_from_slice(MAGIC);
-    out.extend_from_slice(&REWRITE_FORMAT_VERSION.to_le_bytes());
-    out.extend_from_slice(&key.to_le_bytes());
-    out.extend_from_slice(&(body.len() as u64).to_le_bytes());
-    out.extend_from_slice(&body);
-    out.extend_from_slice(&fnv1a(&body).to_le_bytes());
-    out
+    KIND.encode(0, key, &body)
 }
 
-/// Decode and validate one entry file.
-fn decode_entry(bytes: &[u8], expected_key: u128) -> Result<CachedResult, String> {
-    let take = |at: usize, n: usize| -> Result<&[u8], String> {
-        bytes.get(at..at + n).ok_or_else(|| "truncated".to_string())
-    };
-    if take(0, 8)? != MAGIC {
-        return Err("bad magic".into());
-    }
-    let version = u32::from_le_bytes(take(8, 4)?.try_into().unwrap());
-    if version != REWRITE_FORMAT_VERSION {
-        return Err(format!("stale version {version}"));
-    }
-    let key = u128::from_le_bytes(take(12, 16)?.try_into().unwrap());
-    if key != expected_key {
-        return Err("key mismatch (misnamed file)".into());
-    }
-    let body_len = u64::from_le_bytes(take(28, 8)?.try_into().unwrap()) as usize;
-    let body = take(36, body_len)?;
-    let checksum = u64::from_le_bytes(take(36 + body_len, 8)?.try_into().unwrap());
-    if checksum != fnv1a(body) {
-        return Err("checksum mismatch".into());
-    }
-    match body.first() {
-        Some(0) => Ok(CachedResult::NoImprovement),
-        Some(1) => {
-            let text_len =
-                u64::from_le_bytes(body.get(1..9).ok_or("truncated body")?.try_into().unwrap())
-                    as usize;
-            let text = std::str::from_utf8(body.get(9..9 + text_len).ok_or("truncated text")?)
-                .map_err(|_| "non-utf8 rewrite text".to_string())?;
-            let unit = MaoUnit::parse(text).map_err(|e| format!("unparseable rewrite: {e}"))?;
-            let insns: Vec<Instruction> = unit
+fn decode_body(body: &[u8]) -> Result<CachedResult, FrameError> {
+    let mut r = Reader::new(body);
+    let result = match r.u8()? {
+        0 => CachedResult::NoImprovement,
+        1 => {
+            let unit = MaoUnit::parse(r.str()?)
+                .map_err(|_| FrameError::Malformed("unparseable rewrite"))?;
+            let insns = unit
                 .entries()
                 .iter()
                 .filter_map(|e| e.insn().cloned())
                 .collect();
-            Ok(CachedResult::Rewrite(insns))
+            CachedResult::Rewrite(insns)
         }
-        _ => Err("unknown entry kind".into()),
-    }
-}
-
-/// Atomic write: `.tmp-<pid>-<seq>` sibling, then rename into place.
-fn write_atomic(dir: &Path, key: u128, bytes: &[u8]) -> std::io::Result<()> {
-    let n = TMP_SEQ.fetch_add(1, Ordering::Relaxed);
-    let tmp = dir.join(format!(".tmp-{}-{n}", std::process::id()));
-    let result = (|| {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(bytes)?;
-        std::fs::rename(&tmp, entry_path(dir, key))
-    })();
-    if result.is_err() {
-        let _ = std::fs::remove_file(&tmp);
-    }
-    result
+        _ => return Err(FrameError::Malformed("unknown entry kind")),
+    };
+    r.finish()?;
+    Ok(result)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mao_frame::testing;
+    use proptest::prelude::*;
 
     fn insns(lines: &str) -> Vec<Instruction> {
         let text: String = lines.lines().map(|l| format!("\t{}\n", l.trim())).collect();
@@ -246,6 +173,10 @@ mod tests {
             .iter()
             .filter_map(|e| e.insn().cloned())
             .collect()
+    }
+
+    fn entry_path(dir: &std::path::Path, key: u128) -> PathBuf {
+        dir.join(format!("{key:032x}.{}", KIND.ext))
     }
 
     fn tmpdir(tag: &str) -> PathBuf {
@@ -288,22 +219,30 @@ mod tests {
 
     #[test]
     fn corrupt_entries_are_evicted_never_served() {
-        let dir = tmpdir("corrupt");
-        let key = 41u128;
-        let c = RewriteCache::persistent(&dir).unwrap();
-        c.store(key, &CachedResult::Rewrite(insns("movq %rax, %rcx")));
-        // Flip a byte in the body on disk, then read through a fresh
-        // instance (the first one would answer from memory).
-        let path = entry_path(&dir, key);
-        let mut bytes = std::fs::read(&path).unwrap();
-        let mid = bytes.len() - 9;
-        bytes[mid] ^= 0xff;
-        std::fs::write(&path, &bytes).unwrap();
-        let c2 = RewriteCache::persistent(&dir).unwrap();
-        assert_eq!(c2.load(key), None);
-        assert!(!path.exists(), "corrupt entry deleted");
-        assert_eq!(c2.stats().corrupt, 1);
-        let _ = std::fs::remove_dir_all(&dir);
+        // A flipped body byte, and a body-length field inflated to overflow
+        // any unchecked `header + len` sum.
+        for inflate in [false, true] {
+            let dir = tmpdir(&format!("corrupt-{inflate}"));
+            let key = 41u128;
+            let c = RewriteCache::persistent(&dir).unwrap();
+            c.store(key, &CachedResult::Rewrite(insns("movq %rax, %rcx")));
+            // Damage the entry on disk, then read through a fresh instance
+            // (the first one would answer from memory).
+            let path = entry_path(&dir, key);
+            let mut bytes = std::fs::read(&path).unwrap();
+            if inflate {
+                bytes[32..40].copy_from_slice(&(u64::MAX - 35).to_le_bytes()); // body_len
+            } else {
+                let mid = bytes.len() - 9;
+                bytes[mid] ^= 0xff;
+            }
+            std::fs::write(&path, &bytes).unwrap();
+            let c2 = RewriteCache::persistent(&dir).unwrap();
+            assert_eq!(c2.load(key), None);
+            assert!(!path.exists(), "corrupt entry deleted");
+            assert_eq!(c2.stats().corrupt, 1);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]
@@ -320,5 +259,26 @@ mod tests {
         assert_eq!(c2.load(key), None);
         assert!(!path.exists());
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Damaged frames never decode; damaged bodies behind a valid
+        /// checksum, and a snapshot body under a `.msr` header, reach the
+        /// body decoder and must not panic it.
+        #[test]
+        fn damaged_rewrites_never_decode(seed in any::<u64>()) {
+            let good = encode_entry(7, &CachedResult::Rewrite(insns("leaq 4(%rax), %rcx")));
+            let decode = |bytes: &[u8]| KIND.decode(bytes, Some(7)).and_then(|f| decode_body(f.body));
+            prop_assert!(decode(&good).is_ok());
+            for bad in testing::damaged(&good, seed) {
+                prop_assert!(decode(&bad).is_err());
+            }
+            let _ = decode(&testing::damage_body(&good, seed));
+            let snap = mao_asm::snapshot::encode(&mao_asm::parse("nop\n").unwrap(), 7);
+            prop_assert!(decode(&snap).is_err());
+            prop_assert!(decode(&testing::reframe(&good, testing::body(&snap))).is_err());
+        }
     }
 }

@@ -119,6 +119,65 @@ grep -q ' 0 searches' "$SUPEROPT_WORK/warm.log"
 rm -rf "$SUPEROPT_WORK"
 trap - EXIT
 
+echo "==> store damage: evicted, never served"
+# Populate the snapshot store and the learned-rewrite cache, then damage
+# every entry three ways — truncated, last byte flipped, body-length field
+# (frame offset 32) inflated to 2^64-1 — and re-run after each: the snapshot
+# run must report a miss and the superopt run fresh searches, and both must
+# reproduce the clean run's output byte for byte.
+DAMAGE_WORK=$(mktemp -d)
+trap 'rm -rf "$DAMAGE_WORK"' EXIT
+damage() { # damage MODE FILE...
+    local mode=$1 f size last
+    shift
+    for f in "$@"; do
+        size=$(stat -c%s "$f")
+        case $mode in
+            truncate) truncate -s $((size / 2)) "$f" ;;
+            flip)
+                last=$(tail -c 1 "$f" | od -An -tu1 | tr -d ' ')
+                printf "\\x$(printf %02x $((last ^ 0xff)))" \
+                    | dd of="$f" bs=1 seek=$((size - 1)) conv=notrunc 2>/dev/null ;;
+            inflate)
+                printf '\xff\xff\xff\xff\xff\xff\xff\xff' \
+                    | dd of="$f" bs=1 seek=32 conv=notrunc 2>/dev/null ;;
+        esac
+    done
+}
+cat > "$DAMAGE_WORK/in.s" <<'EOF'
+	.text
+	.type	f, @function
+f:
+	movq	%rdi, %rax
+	movq	%rax, %rbx
+	movq	%rbx, %rax
+	addl	$3, %eax
+	addl	$4, %eax
+	ret
+EOF
+snap_run() {
+    target/release/mao --mao=ADDADD:DCE --snapshot-dir "$DAMAGE_WORK/snap" \
+        "$DAMAGE_WORK/in.s" > "$DAMAGE_WORK/$1.s" 2> "$DAMAGE_WORK/$1.log"
+}
+superopt_run() {
+    target/release/mao superopt --seed 42 --cache-dir "$DAMAGE_WORK/rewrites" \
+        -o "$DAMAGE_WORK/$1.s" "$DAMAGE_WORK/in.s" 2> "$DAMAGE_WORK/$1.log"
+}
+snap_run snap-clean
+superopt_run superopt-clean
+for mode in truncate flip inflate; do
+    damage "$mode" "$DAMAGE_WORK"/snap/*.msnap
+    snap_run "snap-$mode"
+    cmp "$DAMAGE_WORK/snap-clean.s" "$DAMAGE_WORK/snap-$mode.s"
+    grep -q 'frontend: snapshot miss' "$DAMAGE_WORK/snap-$mode.log"
+    damage "$mode" "$DAMAGE_WORK"/rewrites/*.msr
+    superopt_run "superopt-$mode"
+    cmp "$DAMAGE_WORK/superopt-clean.s" "$DAMAGE_WORK/superopt-$mode.s"
+    grep -Eq ' [1-9][0-9]* searches' "$DAMAGE_WORK/superopt-$mode.log"
+done
+rm -rf "$DAMAGE_WORK"
+trap - EXIT
+
 echo "==> superopt benchmark gates (smoke)"
 # Warm-cache >= 10x cold-search throughput and a measured cycle win on at
 # least one paper kernel (full run: scripts/bench_superopt.sh).
