@@ -29,7 +29,8 @@
 //!   directory scan (mtime-seeded stamps, everything in probation), and a
 //!   key missing from the index is still served straight off its file and
 //!   re-adopted on first access. It is rewritten atomically every
-//!   [`INDEX_PERSIST_EVERY`] mutations and on drop.
+//!   [`INDEX_PERSIST_EVERY`] mutations and on drop; reads of an unbounded
+//!   store, which never evicts, only update it in memory.
 
 use std::collections::HashMap;
 use std::io::{self, Write};
@@ -332,10 +333,16 @@ impl ArtifactStore {
         };
         let decoded = self.kind.decode(&bytes, Some(key)).ok().and_then(decode);
         if decoded.is_some() {
-            self.note_mutation(|index| {
-                index.touch(key, bytes.len() as u64, true);
-                index.rebalance(self.config.max_bytes);
-            });
+            let mut index = self.index.lock().unwrap();
+            index.touch(key, bytes.len() as u64, true);
+            index.rebalance(self.config.max_bytes);
+            // Recency only orders eviction, and an unbounded store never
+            // evicts: its reads leave the index file to the next write or
+            // to drop instead of rewriting it every few hits.
+            if self.config.max_bytes > 0 {
+                self.maybe_persist(&mut index);
+            }
+            drop(index);
             self.hits.fetch_add(1, Ordering::Relaxed);
             if let Some(m) = self.metrics.get() {
                 m.hits.inc();

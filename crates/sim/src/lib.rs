@@ -37,7 +37,7 @@ pub use machine::{
 };
 pub use memory::{Access, Cache, Memory};
 pub use pmu::Pmu;
-pub use program::{LoadError, Program};
+pub use program::{CodeSource, LoadError, Program};
 pub use timing::Timing;
 
 /// Simulation options.

@@ -7,10 +7,10 @@
 use std::collections::HashMap;
 
 use mao_x86::operand::{Disp, Mem, Operand};
-use mao_x86::{Flags, Instruction, Mnemonic, Reg, RegId, Width};
+use mao_x86::{Flags, Mnemonic, Reg, RegId, Width};
 
 use crate::memory::Memory;
-use crate::program::{Program, STACK_TOP};
+use crate::program::{CodeSource, STACK_TOP};
 
 /// Runtime failure during simulation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -72,7 +72,8 @@ pub struct ExecInfo {
 pub enum Step {
     /// An instruction executed.
     Executed(ExecInfo),
-    /// Top-level `ret` executed: the program finished with `%rax`'s value.
+    /// Top-level `ret` executed, or the code ran out: the program finished
+    /// with `%rax`'s value.
     Finished(u64),
 }
 
@@ -94,13 +95,17 @@ pub struct Machine {
 }
 
 impl Machine {
-    /// Machine ready to run `entry_label` of `program` with SysV argument
+    /// Machine ready to run `entry_label` of `code` with SysV argument
     /// registers from `args` (%rdi, %rsi, %rdx, %rcx, %r8, %r9).
-    pub fn new(program: &Program, entry_label: &str, args: &[u64]) -> Result<Machine, SimError> {
-        let pc = program
-            .label_insn(entry_label)
+    pub fn new<C: CodeSource + ?Sized>(
+        code: &C,
+        entry_label: &str,
+        args: &[u64],
+    ) -> Result<Machine, SimError> {
+        let pc = code
+            .entry_pc(entry_label)
             .ok_or_else(|| SimError::ExternalTarget(entry_label.to_string()))?;
-        let mem = program
+        let mem = code
             .initial_memory()
             .map_err(|e| SimError::ExternalTarget(e.to_string()))?;
         let mut m = Machine {
@@ -167,14 +172,13 @@ impl Machine {
     }
 
     /// Effective address of a memory operand.
-    fn ea(&self, mem: &Mem, program: &Program) -> Result<u64, SimError> {
+    fn ea<C: CodeSource + ?Sized>(&self, mem: &Mem, code: &C) -> Result<u64, SimError> {
         let disp = match &mem.disp {
             Disp::None => 0i64,
             Disp::Imm(v) => *v,
             Disp::Symbol { name, addend } => {
-                let base = *program
-                    .label_va
-                    .get(name.as_str())
+                let base = code
+                    .symbol_va(name.as_str())
                     .ok_or_else(|| SimError::ExternalTarget(name.as_str().to_string()))?;
                 base as i64 + addend
             }
@@ -258,18 +262,18 @@ impl Machine {
 
     /// Read an operand's value (register, immediate, or memory load).
     /// Records the load in `info`.
-    fn read_operand(
+    fn read_operand<C: CodeSource + ?Sized>(
         &mut self,
         op: &Operand,
         width: Width,
-        program: &Program,
+        code: &C,
         info: &mut ExecInfo,
     ) -> Result<u64, SimError> {
         match op {
             Operand::Imm(v) => Ok(*v as u64 & width.mask()),
             Operand::Reg(r) => Ok(self.read_reg(*r)),
             Operand::Mem(m) => {
-                let addr = self.ea(m, program)?;
+                let addr = self.ea(m, code)?;
                 info.load = Some((addr, width.bytes()));
                 Ok(self.mem.read(addr, width.bytes()))
             }
@@ -278,12 +282,12 @@ impl Machine {
     }
 
     /// Write to a destination operand. Records the store in `info`.
-    fn write_operand(
+    fn write_operand<C: CodeSource + ?Sized>(
         &mut self,
         op: &Operand,
         width: Width,
         value: u64,
-        program: &Program,
+        code: &C,
         info: &mut ExecInfo,
     ) -> Result<(), SimError> {
         match op {
@@ -292,7 +296,7 @@ impl Machine {
                 Ok(())
             }
             Operand::Mem(m) => {
-                let addr = self.ea(m, program)?;
+                let addr = self.ea(m, code)?;
                 info.store = Some((addr, width.bytes()));
                 self.mem.write(addr, value, width.bytes());
                 Ok(())
@@ -314,31 +318,34 @@ impl Machine {
         v
     }
 
-    fn branch_to_label(&mut self, label: &str, program: &Program) -> Result<u64, SimError> {
-        let target = program
-            .label_insn(label)
+    fn branch_to_label<C: CodeSource + ?Sized>(
+        &mut self,
+        label: &str,
+        code: &C,
+    ) -> Result<u64, SimError> {
+        let target = code
+            .label_pc(label)
             .ok_or_else(|| SimError::ExternalTarget(label.to_string()))?;
         self.pc = target;
-        Ok(program.entry_va[target])
+        Ok(code.va(target))
     }
 
     /// Execute the instruction at `self.pc`, advancing `pc`.
-    pub fn step(&mut self, program: &Program) -> Result<Step, SimError> {
+    pub fn step<C: CodeSource + ?Sized>(&mut self, code: &C) -> Result<Step, SimError> {
         use Mnemonic as M;
         let entry = self.pc;
-        let insn: &Instruction = program
-            .unit
-            .insn(entry)
-            .expect("pc always points at an instruction");
+        let Some(insn) = code.insn(entry) else {
+            return Ok(Step::Finished(self.gpr[RegId::Rax.encoding() as usize]));
+        };
         let w = insn.width();
         let mut info = ExecInfo {
             entry,
-            va: program.entry_va[entry],
-            len: program.insn_len(entry),
+            va: code.va(entry),
+            len: code.len_at(entry),
             ..ExecInfo::default()
         };
         // Default fall-through.
-        let next = program.next_insn(entry + 1);
+        let next = code.next_pc(entry);
         let mut jumped = false;
 
         macro_rules! src {
@@ -348,7 +355,7 @@ impl Machine {
                     .first()
                     .cloned()
                     .ok_or_else(|| SimError::Unsupported(format!("{insn}: missing operand")))?;
-                self.read_operand(&op, w, program, &mut info)?
+                self.read_operand(&op, w, code, &mut info)?
             }};
         }
         macro_rules! dst_read {
@@ -358,7 +365,7 @@ impl Machine {
                     .last()
                     .cloned()
                     .ok_or_else(|| SimError::Unsupported(format!("{insn}: missing operand")))?;
-                self.read_operand(&op, w, program, &mut info)?
+                self.read_operand(&op, w, code, &mut info)?
             }};
         }
         macro_rules! dst_write {
@@ -368,7 +375,7 @@ impl Machine {
                     .last()
                     .cloned()
                     .ok_or_else(|| SimError::Unsupported(format!("{insn}: missing operand")))?;
-                self.write_operand(&op, w, $value, program, &mut info)?
+                self.write_operand(&op, w, $value, code, &mut info)?
             }};
         }
 
@@ -381,7 +388,7 @@ impl Machine {
             M::Movsx => {
                 let from = insn.src_width.unwrap_or(Width::B1);
                 let op = insn.operands.first().cloned().unwrap();
-                let raw = self.read_operand(&op, from, program, &mut info)?;
+                let raw = self.read_operand(&op, from, code, &mut info)?;
                 let shifted = 64 - from.bits();
                 let v = (((raw << shifted) as i64) >> shifted) as u64;
                 dst_write!(v & w.mask());
@@ -389,14 +396,14 @@ impl Machine {
             M::Movzx => {
                 let from = insn.src_width.unwrap_or(Width::B1);
                 let op = insn.operands.first().cloned().unwrap();
-                let raw = self.read_operand(&op, from, program, &mut info)?;
+                let raw = self.read_operand(&op, from, code, &mut info)?;
                 dst_write!(raw & from.mask());
             }
             M::Lea => {
                 let Some(Operand::Mem(m)) = insn.operands.first() else {
                     return Err(SimError::Unsupported(insn.to_string()));
                 };
-                let addr = self.ea(&m.clone(), program)?;
+                let addr = self.ea(&m.clone(), code)?;
                 dst_write!(addr & w.mask());
             }
             M::Add => {
@@ -498,7 +505,7 @@ impl Machine {
                         .imm()
                         .ok_or_else(|| SimError::Unsupported(insn.to_string()))?;
                     let op = insn.operands[1].clone();
-                    let b = self.read_operand(&op, w, program, &mut info)?;
+                    let b = self.read_operand(&op, w, code, &mut info)?;
                     let shifted = 64 - w.bits();
                     let sb = ((b << shifted) as i64 >> shifted) as i128;
                     let r = (imm as i128 * sb) as u64 & w.mask();
@@ -554,7 +561,7 @@ impl Machine {
                 };
                 let count = count & if w == Width::B8 { 63 } else { 31 };
                 let op = insn.operands[target_idx].clone();
-                let a = self.read_operand(&op, w, program, &mut info)?;
+                let a = self.read_operand(&op, w, code, &mut info)?;
                 let bits = w.bits();
                 let r = match insn.mnemonic {
                     M::Shl => a.wrapping_shl(count),
@@ -576,7 +583,7 @@ impl Machine {
                 if count != 0 && matches!(insn.mnemonic, M::Shl | M::Shr | M::Sar) {
                     self.set_flags_logic(r, w);
                 }
-                self.write_operand(&op, w, r, program, &mut info)?;
+                self.write_operand(&op, w, r, code, &mut info)?;
             }
             M::Cltq => {
                 let eax = self.reg_by_id(RegId::Rax, Width::B4);
@@ -616,19 +623,19 @@ impl Machine {
                 jumped = true;
                 match insn.operands.first() {
                     Some(Operand::Label(l)) => {
-                        info.target_va = Some(self.branch_to_label(l, program)?);
+                        info.target_va = Some(self.branch_to_label(l, code)?);
                     }
                     Some(Operand::IndirectReg(r)) => {
                         let va = self.read_reg(*r);
-                        let t = program.entry_at_va(va).ok_or(SimError::WildBranch(va))?;
+                        let t = code.pc_at_va(va).ok_or(SimError::WildBranch(va))?;
                         self.pc = t;
                         info.target_va = Some(va);
                     }
                     Some(Operand::IndirectMem(m)) => {
-                        let addr = self.ea(&m.clone(), program)?;
+                        let addr = self.ea(&m.clone(), code)?;
                         info.load = Some((addr, 8));
                         let va = self.mem.read(addr, 8);
-                        let t = program.entry_at_va(va).ok_or(SimError::WildBranch(va))?;
+                        let t = code.pc_at_va(va).ok_or(SimError::WildBranch(va))?;
                         self.pc = t;
                         info.target_va = Some(va);
                     }
@@ -644,30 +651,30 @@ impl Machine {
                         .target_label()
                         .ok_or_else(|| SimError::Unsupported(insn.to_string()))?
                         .to_string();
-                    info.target_va = Some(self.branch_to_label(&l, program)?);
+                    info.target_va = Some(self.branch_to_label(&l, code)?);
                 }
             }
             M::Call => {
                 info.taken = true;
                 jumped = true;
-                let ret_va = next.map(|n| program.entry_va[n]).unwrap_or(0);
+                let ret_va = next.map(|n| code.va(n)).unwrap_or(0);
                 self.push(ret_va);
                 info.store = Some((self.gpr[RegId::Rsp.encoding() as usize], 8));
                 self.depth += 1;
                 match insn.operands.first() {
                     Some(Operand::Label(l)) => {
-                        info.target_va = Some(self.branch_to_label(l, program)?);
+                        info.target_va = Some(self.branch_to_label(l, code)?);
                     }
                     Some(Operand::IndirectReg(r)) => {
                         let va = self.read_reg(*r);
-                        let t = program.entry_at_va(va).ok_or(SimError::WildBranch(va))?;
+                        let t = code.pc_at_va(va).ok_or(SimError::WildBranch(va))?;
                         self.pc = t;
                         info.target_va = Some(va);
                     }
                     Some(Operand::IndirectMem(m)) => {
-                        let addr = self.ea(&m.clone(), program)?;
+                        let addr = self.ea(&m.clone(), code)?;
                         let va = self.mem.read(addr, 8);
-                        let t = program.entry_at_va(va).ok_or(SimError::WildBranch(va))?;
+                        let t = code.pc_at_va(va).ok_or(SimError::WildBranch(va))?;
                         self.pc = t;
                         info.target_va = Some(va);
                     }
@@ -680,7 +687,7 @@ impl Machine {
                 }
                 info.load = Some((self.gpr[RegId::Rsp.encoding() as usize], 8));
                 let va = self.pop();
-                let t = program.entry_at_va(va).ok_or(SimError::WildBranch(va))?;
+                let t = code.pc_at_va(va).ok_or(SimError::WildBranch(va))?;
                 self.depth -= 1;
                 self.pc = t;
                 info.taken = true;
@@ -690,7 +697,7 @@ impl Machine {
             M::Setcc(c) => {
                 let v = u64::from(c.eval(self.flags));
                 let op = insn.operands.last().cloned().unwrap();
-                self.write_operand(&op, Width::B1, v, program, &mut info)?;
+                self.write_operand(&op, Width::B1, v, code, &mut info)?;
             }
             M::Cmovcc(c) => {
                 let v = src!();
@@ -701,31 +708,29 @@ impl Machine {
             M::Xchg => {
                 let a_op = insn.operands[0].clone();
                 let b_op = insn.operands[1].clone();
-                let a = self.read_operand(&a_op, w, program, &mut info)?;
-                let b = self.read_operand(&b_op, w, program, &mut info)?;
-                self.write_operand(&a_op, w, b, program, &mut info)?;
-                self.write_operand(&b_op, w, a, program, &mut info)?;
+                let a = self.read_operand(&a_op, w, code, &mut info)?;
+                let b = self.read_operand(&b_op, w, code, &mut info)?;
+                self.write_operand(&a_op, w, b, code, &mut info)?;
+                self.write_operand(&b_op, w, a, code, &mut info)?;
             }
             // Scalar SSE on the low 32/64 bits.
             M::Movss | M::Movd => {
                 let op = insn.operands[0].clone();
-                let v = self.read_operand(&op, Width::B4, program, &mut info)?;
+                let v = self.read_operand(&op, Width::B4, code, &mut info)?;
                 let dst = insn.operands.last().cloned().unwrap();
-                self.write_operand(&dst, Width::B4, v, program, &mut info)?;
+                self.write_operand(&dst, Width::B4, v, code, &mut info)?;
             }
             M::Movsd | M::Movaps | M::Movapd | M::Movups | M::Movdq => {
                 let op = insn.operands[0].clone();
-                let v = self.read_operand(&op, Width::B8, program, &mut info)?;
+                let v = self.read_operand(&op, Width::B8, code, &mut info)?;
                 let dst = insn.operands.last().cloned().unwrap();
-                self.write_operand(&dst, Width::B8, v, program, &mut info)?;
+                self.write_operand(&dst, Width::B8, v, code, &mut info)?;
             }
             M::Addss | M::Subss | M::Mulss | M::Divss | M::Sqrtss => {
                 let op = insn.operands[0].clone();
-                let b =
-                    f32::from_bits(self.read_operand(&op, Width::B4, program, &mut info)? as u32);
+                let b = f32::from_bits(self.read_operand(&op, Width::B4, code, &mut info)? as u32);
                 let dst = insn.operands.last().cloned().unwrap();
-                let a =
-                    f32::from_bits(self.read_operand(&dst, Width::B4, program, &mut info)? as u32);
+                let a = f32::from_bits(self.read_operand(&dst, Width::B4, code, &mut info)? as u32);
                 let r = match insn.mnemonic {
                     M::Addss => a + b,
                     M::Subss => a - b,
@@ -734,13 +739,13 @@ impl Machine {
                     M::Sqrtss => b.sqrt(),
                     _ => unreachable!(),
                 };
-                self.write_operand(&dst, Width::B4, u64::from(r.to_bits()), program, &mut info)?;
+                self.write_operand(&dst, Width::B4, u64::from(r.to_bits()), code, &mut info)?;
             }
             M::Addsd | M::Subsd | M::Mulsd | M::Divsd | M::Sqrtsd => {
                 let op = insn.operands[0].clone();
-                let b = f64::from_bits(self.read_operand(&op, Width::B8, program, &mut info)?);
+                let b = f64::from_bits(self.read_operand(&op, Width::B8, code, &mut info)?);
                 let dst = insn.operands.last().cloned().unwrap();
-                let a = f64::from_bits(self.read_operand(&dst, Width::B8, program, &mut info)?);
+                let a = f64::from_bits(self.read_operand(&dst, Width::B8, code, &mut info)?);
                 let r = match insn.mnemonic {
                     M::Addsd => a + b,
                     M::Subsd => a - b,
@@ -749,15 +754,15 @@ impl Machine {
                     M::Sqrtsd => b.sqrt(),
                     _ => unreachable!(),
                 };
-                self.write_operand(&dst, Width::B8, r.to_bits(), program, &mut info)?;
+                self.write_operand(&dst, Width::B8, r.to_bits(), code, &mut info)?;
             }
             M::Ucomiss | M::Comiss | M::Ucomisd | M::Comisd => {
                 let dbl = matches!(insn.mnemonic, M::Ucomisd | M::Comisd);
                 let ww = if dbl { Width::B8 } else { Width::B4 };
                 let op = insn.operands[0].clone();
-                let braw = self.read_operand(&op, ww, program, &mut info)?;
+                let braw = self.read_operand(&op, ww, code, &mut info)?;
                 let dst = insn.operands.last().cloned().unwrap();
-                let araw = self.read_operand(&dst, ww, program, &mut info)?;
+                let araw = self.read_operand(&dst, ww, code, &mut info)?;
                 let (a, b) = if dbl {
                     (f64::from_bits(araw), f64::from_bits(braw))
                 } else {
@@ -784,7 +789,7 @@ impl Machine {
                 } else {
                     Width::B4
                 };
-                let raw = self.read_operand(&op, iw, program, &mut info)?;
+                let raw = self.read_operand(&op, iw, code, &mut info)?;
                 let shifted = 64 - iw.bits();
                 let v = ((raw << shifted) as i64) >> shifted;
                 let dst = insn.operands.last().cloned().unwrap();
@@ -793,11 +798,11 @@ impl Machine {
                         &dst,
                         Width::B4,
                         u64::from((v as f32).to_bits()),
-                        program,
+                        code,
                         &mut info,
                     )?;
                 } else {
-                    self.write_operand(&dst, Width::B8, (v as f64).to_bits(), program, &mut info)?;
+                    self.write_operand(&dst, Width::B8, (v as f64).to_bits(), code, &mut info)?;
                 }
             }
             M::Cvttss2si | M::Cvttsd2si => {
@@ -807,7 +812,7 @@ impl Machine {
                 } else {
                     Width::B8
                 };
-                let raw = self.read_operand(&op, fw, program, &mut info)?;
+                let raw = self.read_operand(&op, fw, code, &mut info)?;
                 let v = if fw == Width::B4 {
                     f32::from_bits(raw as u32) as i64
                 } else {
@@ -817,28 +822,28 @@ impl Machine {
             }
             M::Cvtss2sd => {
                 let op = insn.operands[0].clone();
-                let raw = self.read_operand(&op, Width::B4, program, &mut info)?;
+                let raw = self.read_operand(&op, Width::B4, code, &mut info)?;
                 let dst = insn.operands.last().cloned().unwrap();
                 let v = f64::from(f32::from_bits(raw as u32));
-                self.write_operand(&dst, Width::B8, v.to_bits(), program, &mut info)?;
+                self.write_operand(&dst, Width::B8, v.to_bits(), code, &mut info)?;
             }
             M::Cvtsd2ss => {
                 let op = insn.operands[0].clone();
-                let raw = self.read_operand(&op, Width::B8, program, &mut info)?;
+                let raw = self.read_operand(&op, Width::B8, code, &mut info)?;
                 let dst = insn.operands.last().cloned().unwrap();
                 let v = f64::from_bits(raw) as f32;
-                self.write_operand(&dst, Width::B4, u64::from(v.to_bits()), program, &mut info)?;
+                self.write_operand(&dst, Width::B4, u64::from(v.to_bits()), code, &mut info)?;
             }
             M::Pxor | M::Xorps | M::Xorpd => {
                 let op = insn.operands[0].clone();
-                let b = self.read_operand(&op, Width::B8, program, &mut info)?;
+                let b = self.read_operand(&op, Width::B8, code, &mut info)?;
                 let dst = insn.operands.last().cloned().unwrap();
-                let a = self.read_operand(&dst, Width::B8, program, &mut info)?;
-                self.write_operand(&dst, Width::B8, a ^ b, program, &mut info)?;
+                let a = self.read_operand(&dst, Width::B8, code, &mut info)?;
+                self.write_operand(&dst, Width::B8, a ^ b, code, &mut info)?;
             }
             M::Prefetchnta | M::Prefetcht0 | M::Prefetcht1 | M::Prefetcht2 => {
                 if let Some(Operand::Mem(m)) = insn.operands.first() {
-                    let addr = self.ea(&m.clone(), program)?;
+                    let addr = self.ea(&m.clone(), code)?;
                     if insn.mnemonic == M::Prefetchnta {
                         info.prefetch_nta = Some(addr);
                     }
@@ -866,19 +871,19 @@ impl Machine {
 
 /// Run the interpreter only (no timing): convenience for functional tests.
 /// Returns (`%rax`, dynamic instruction count).
-pub fn run_functional(
-    program: &Program,
+pub fn run_functional<C: CodeSource + ?Sized>(
+    code: &C,
     entry: &str,
     args: &[u64],
     max_instructions: u64,
 ) -> Result<(u64, u64), SimError> {
-    let mut m = Machine::new(program, entry, args)?;
+    let mut m = Machine::new(code, entry, args)?;
     let mut count = 0u64;
     loop {
         if count >= max_instructions {
             return Err(SimError::Budget);
         }
-        match m.step(program)? {
+        match m.step(code)? {
             Step::Executed(_) => count += 1,
             Step::Finished(v) => return Ok((v, count)),
         }
@@ -902,14 +907,14 @@ pub struct RunOutcome {
 /// [`ExecInfo`] (entry id, loads, stores, branches) and the caller can
 /// compare architectural state (`gpr`, `flags`, `mem`) afterwards. Returns
 /// `Err` only when the entry label or the unit's sections fail to load.
-pub fn run_observed(
-    program: &Program,
+pub fn run_observed<C: CodeSource + ?Sized>(
+    code: &C,
     entry: &str,
     args: &[u64],
     max_instructions: u64,
     observer: impl FnMut(&ExecInfo),
 ) -> Result<RunOutcome, SimError> {
-    run_observed_init(program, entry, args, max_instructions, |_| {}, observer)
+    run_observed_init(code, entry, args, max_instructions, |_| {}, observer)
 }
 
 /// [`run_observed`] with an initialization hook applied to the freshly
@@ -917,22 +922,22 @@ pub fn run_observed(
 /// differential filter uses this to seed arbitrary register states without
 /// materializing `movabs` preambles: the hook runs after argument setup, so
 /// it may overwrite any register except the program text itself.
-pub fn run_observed_init(
-    program: &Program,
+pub fn run_observed_init<C: CodeSource + ?Sized>(
+    code: &C,
     entry: &str,
     args: &[u64],
     max_instructions: u64,
     init: impl FnOnce(&mut Machine),
     mut observer: impl FnMut(&ExecInfo),
 ) -> Result<RunOutcome, SimError> {
-    let mut m = Machine::new(program, entry, args)?;
+    let mut m = Machine::new(code, entry, args)?;
     init(&mut m);
     let mut count = 0u64;
     let result = loop {
         if count >= max_instructions {
             break Err(SimError::Budget);
         }
-        match m.step(program) {
+        match m.step(code) {
             Ok(Step::Executed(info)) => {
                 count += 1;
                 observer(&info);
@@ -950,6 +955,7 @@ pub type RegFile = HashMap<RegId, u64>;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Program;
     use mao::MaoUnit;
 
     fn run(text: &str, entry: &str, args: &[u64]) -> u64 {

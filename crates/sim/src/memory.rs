@@ -41,20 +41,38 @@ impl Memory {
             .map_or(0, |p| p[(addr & 0xfff) as usize])
     }
 
-    /// Read `n <= 8` bytes little-endian.
+    /// Read `n <= 8` bytes little-endian: one page lookup, two when the
+    /// access crosses a page boundary.
     pub fn read(&mut self, addr: u64, n: u8) -> u64 {
-        let mut out = 0u64;
-        for i in 0..u64::from(n) {
-            out |= u64::from(self.read_u8(addr.wrapping_add(i))) << (8 * i);
+        let mut bytes = [0u8; 8];
+        let (n, head) = Memory::split(addr, n);
+        let off = (addr & 0xfff) as usize;
+        bytes[..head].copy_from_slice(&self.page(addr)[off..off + head]);
+        if head < n {
+            let rest = addr.wrapping_add(head as u64);
+            bytes[head..n].copy_from_slice(&self.page(rest)[..n - head]);
         }
-        out
+        u64::from_le_bytes(bytes)
     }
 
-    /// Write `n <= 8` bytes little-endian.
+    /// Write `n <= 8` bytes little-endian: one page lookup, two when the
+    /// access crosses a page boundary.
     pub fn write(&mut self, addr: u64, value: u64, n: u8) {
-        for i in 0..u64::from(n) {
-            self.write_u8(addr.wrapping_add(i), (value >> (8 * i)) as u8);
+        let bytes = value.to_le_bytes();
+        let (n, head) = Memory::split(addr, n);
+        let off = (addr & 0xfff) as usize;
+        self.page(addr)[off..off + head].copy_from_slice(&bytes[..head]);
+        if head < n {
+            let rest = addr.wrapping_add(head as u64);
+            self.page(rest)[..n - head].copy_from_slice(&bytes[head..n]);
         }
+    }
+
+    /// An access of `n` bytes at `addr` as (total bytes, bytes on the
+    /// first page).
+    fn split(addr: u64, n: u8) -> (usize, usize) {
+        let n = usize::from(n.min(8));
+        (n, n.min(4096 - (addr & 0xfff) as usize))
     }
 
     /// Number of touched pages (for tests / footprint checks).
@@ -186,6 +204,39 @@ mod tests {
         let mut m = Memory::new();
         m.write(0xffe, 0xaabbccdd, 4);
         assert_eq!(m.read(0xffe, 4), 0xaabbccdd);
+        assert_eq!(m.pages_touched(), 2);
+    }
+
+    #[test]
+    fn eight_byte_access_straddling_a_page() {
+        for addr in 0x1ff9..=0x1fff_u64 {
+            let mut m = Memory::new();
+            m.write(addr, 0x0102_0304_0506_0708, 8);
+            assert_eq!(m.pages_touched(), 2, "{addr:#x}");
+            assert_eq!(m.read(addr, 8), 0x0102_0304_0506_0708, "{addr:#x}");
+            for i in 0..8 {
+                assert_eq!(m.peek_u8(addr + i), 8 - i as u8, "{addr:#x}+{i}");
+            }
+            assert_eq!(m.peek_u8(addr - 1), 0);
+            assert_eq!(m.peek_u8(addr + 8), 0);
+            assert_eq!(m.pages_touched(), 2, "peeks allocate nothing");
+        }
+        // Reads allocate the pages they touch, as byte reads always did.
+        let mut m = Memory::new();
+        assert_eq!(m.read(0x2ffc, 8), 0);
+        assert_eq!(m.pages_touched(), 2);
+        assert_eq!(m.read(0x3000, 8), 0);
+        assert_eq!(m.pages_touched(), 2, "within the second page");
+    }
+
+    #[test]
+    fn access_wrapping_the_address_space() {
+        let mut m = Memory::new();
+        m.write(u64::MAX - 1, 0xaabb_ccdd, 4);
+        assert_eq!(m.read(u64::MAX - 1, 4), 0xaabb_ccdd);
+        assert_eq!(m.peek_u8(u64::MAX), 0xcc);
+        assert_eq!(m.peek_u8(0), 0xbb);
+        assert_eq!(m.peek_u8(1), 0xaa);
         assert_eq!(m.pages_touched(), 2);
     }
 

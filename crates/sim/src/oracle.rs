@@ -24,7 +24,7 @@ use std::collections::BTreeSet;
 use mao::MaoUnit;
 use mao_x86::{def_use, Flags, RegId};
 
-use crate::{run_observed_init, Machine, Program, SimError};
+use crate::{run_observed_init, CodeSource, Machine, Program, SimError};
 
 /// Registers compared between original and optimized runs.
 pub const OBSERVABLE_REGS: [RegId; 8] = [
@@ -77,16 +77,15 @@ pub fn observe_unit(
     budget: u64,
 ) -> Result<Observation, String> {
     let program = Program::load(unit).map_err(|e| format!("load: {e}"))?;
-    observe_program(unit, &program, entry, args, budget, |_| {})
+    observe_program(&program, entry, args, budget, |_| {})
 }
 
-/// [`observe_unit`] for an already-loaded program, with an init hook run on
-/// the machine before the first instruction. The superoptimizer loads one
-/// harness program and observes it under many seeded register states; the
-/// checker path uses a no-op hook.
-pub fn observe_program(
-    unit: &MaoUnit,
-    program: &Program,
+/// [`observe_unit`] for any [`CodeSource`], with an init hook run on the
+/// machine before the first instruction. The checker observes loaded
+/// programs with a no-op hook; the superoptimizer observes straight-line
+/// candidate slices in place under many seeded register states.
+pub fn observe_program<C: CodeSource + ?Sized>(
+    code: &C,
     entry: &str,
     args: &[u64],
     budget: u64,
@@ -97,13 +96,13 @@ pub fn observe_program(
     // unspecified values, e.g. CF after `imul`'s SF/ZF... per the tables).
     let mut undef = Flags::NONE;
     let mut undef_flag_read: Option<String> = None;
-    let outcome = run_observed_init(program, entry, args, budget, init, |info| {
+    let outcome = run_observed_init(code, entry, args, budget, init, |info| {
         if let Some((addr, size)) = info.store {
             for i in 0..u64::from(size) {
                 store_addrs.insert(addr.wrapping_add(i));
             }
         }
-        if let Some(insn) = unit.insn(info.entry) {
+        if let Some(insn) = code.insn(info.entry) {
             let du = def_use(insn);
             let poisoned = du.flags_use & undef;
             if !poisoned.is_empty() && undef_flag_read.is_none() {
@@ -245,7 +244,7 @@ mod tests {
         let asm = ".type f, @function\nf:\n\tmovq %r11, %rax\n\tret\n";
         let unit = MaoUnit::parse(asm).unwrap();
         let program = Program::load(&unit).unwrap();
-        let obs = observe_program(&unit, &program, "f", &[], 1000, |m| {
+        let obs = observe_program(&program, "f", &[], 1000, |m| {
             m.gpr[RegId::R11.encoding() as usize] = 0xdead_beef;
         })
         .unwrap();

@@ -6,12 +6,17 @@
 //! base virtual address, and data directives (jump tables!) are written
 //! into the initial memory image with symbols resolved to their absolute
 //! addresses.
+//!
+//! The interpreter reads code only through [`CodeSource`]. A loaded
+//! [`Program`] is one source; a bare `[Instruction]` slice is the other —
+//! straight-line code run in place, with no text, parse or relaxation.
 
 use std::collections::HashMap;
 
 use mao::relax::{relax, Layout};
 use mao::{EntryId, MaoUnit};
 use mao_asm::{DataItem, Directive, Entry};
+use mao_x86::Instruction;
 
 use crate::memory::Memory;
 
@@ -172,6 +177,112 @@ impl Program {
     /// Size in bytes of the instruction at `id`.
     pub fn insn_len(&self, id: EntryId) -> u32 {
         self.layout.size[id]
+    }
+}
+
+/// Everything [`crate::Machine::step`] reads about the code it executes:
+/// the instruction at a pc, its fall-through successor, its address and
+/// length, and label and symbol lookups. Instruction semantics live only in
+/// `step`; a source decides only where code and symbols are.
+pub trait CodeSource {
+    /// The instruction at `pc`; `None` past the end, where a run finishes
+    /// as if it had returned.
+    fn insn(&self, pc: usize) -> Option<&Instruction>;
+    /// Fall-through successor of the instruction at `pc`.
+    fn next_pc(&self, pc: usize) -> Option<usize>;
+    /// Virtual address of the instruction at `pc`.
+    fn va(&self, pc: usize) -> u64;
+    /// Encoded length of the instruction at `pc`.
+    fn len_at(&self, pc: usize) -> u32;
+    /// Where a run entering at `label` starts.
+    fn entry_pc(&self, label: &str) -> Option<usize> {
+        self.label_pc(label)
+    }
+    /// The instruction a branch to `label` lands on.
+    fn label_pc(&self, label: &str) -> Option<usize>;
+    /// Address of a symbol used as a displacement.
+    fn symbol_va(&self, name: &str) -> Option<u64>;
+    /// The instruction at `va`, for indirect branches and returns.
+    fn pc_at_va(&self, va: u64) -> Option<usize>;
+    /// The memory image a run starts from.
+    fn initial_memory(&self) -> Result<Memory, LoadError>;
+}
+
+impl CodeSource for Program {
+    fn insn(&self, pc: usize) -> Option<&Instruction> {
+        self.unit.insn(pc)
+    }
+
+    fn next_pc(&self, pc: usize) -> Option<usize> {
+        self.next_insn(pc + 1)
+    }
+
+    fn va(&self, pc: usize) -> u64 {
+        self.entry_va[pc]
+    }
+
+    fn len_at(&self, pc: usize) -> u32 {
+        self.insn_len(pc)
+    }
+
+    fn label_pc(&self, label: &str) -> Option<usize> {
+        self.label_insn(label)
+    }
+
+    fn symbol_va(&self, name: &str) -> Option<u64> {
+        self.label_va.get(name).copied()
+    }
+
+    fn pc_at_va(&self, va: u64) -> Option<usize> {
+        self.entry_at_va(va)
+    }
+
+    fn initial_memory(&self) -> Result<Memory, LoadError> {
+        Program::initial_memory(self)
+    }
+}
+
+/// Straight-line code run in place: no labels, no symbols, no data, and no
+/// layout. Every entry label starts at the first instruction; running off
+/// the end finishes the run like a top-level `ret`. Instruction `i` sits at
+/// `TEXT_BASE + i` with length 1 — distinct addresses for control flow, not
+/// a layout a timing model could use (load a [`Program`] for that).
+impl CodeSource for [Instruction] {
+    fn insn(&self, pc: usize) -> Option<&Instruction> {
+        self.get(pc)
+    }
+
+    fn next_pc(&self, pc: usize) -> Option<usize> {
+        Some(pc + 1)
+    }
+
+    fn va(&self, pc: usize) -> u64 {
+        TEXT_BASE + pc as u64
+    }
+
+    fn len_at(&self, _pc: usize) -> u32 {
+        1
+    }
+
+    fn entry_pc(&self, _label: &str) -> Option<usize> {
+        Some(0)
+    }
+
+    fn label_pc(&self, _label: &str) -> Option<usize> {
+        None
+    }
+
+    fn symbol_va(&self, _name: &str) -> Option<u64> {
+        None
+    }
+
+    fn pc_at_va(&self, va: u64) -> Option<usize> {
+        let pc = usize::try_from(va.checked_sub(TEXT_BASE)?).ok()?;
+        (pc <= self.len()).then_some(pc)
+    }
+
+    fn initial_memory(&self) -> Result<Memory, LoadError> {
+        Ok(Memory::new())
     }
 }
 

@@ -13,9 +13,11 @@
 //!    entirely (negative results are cached too) — `cache.rs`.
 //! 4. **Search** for a strictly cheaper equivalent: subsequence + template
 //!    enumeration for small windows, Metropolis for large — `search.rs`.
-//! 5. **Verify two-phase**: seeded-random differential execution, then the
-//!    full mao-check oracle. Cache hits are *re-verified* before
-//!    application — nothing unverified ever reaches output — `verify.rs`.
+//! 5. **Verify two-phase**, running candidates in place in the simulator:
+//!    seeded-random differential execution, then the full mao-check
+//!    oracle, then a check that the candidate's text parses back to what
+//!    was verified. Cache hits are *re-verified* before application —
+//!    nothing unverified ever reaches output — `verify.rs`.
 //! 6. **Apply** after renaming back through the window's register binding.
 //!
 //! The pass registers itself through `mao::pass::register_extension` (it
@@ -402,16 +404,25 @@ mod tests {
 
     #[test]
     fn injected_bogus_rewrite_is_rejected() {
-        let (unit, _, obs) = run_superopt(SMOKE_ASM, "SUPEROPT=seed[42],inject-bogus-rewrite");
-        assert!(
-            obs.metrics
-                .counter_value("mao_superopt_injected_rejected_total")
-                >= 1
-        );
-        // Output identical to the non-injected run: the bogus candidate
-        // never reaches the edit stream.
-        let (clean, _, _) = run_superopt(SMOKE_ASM, "SUPEROPT=seed[42]");
-        assert_eq!(unit.emit(), clean.emit());
+        // The smoke unit and every paper kernel: the canary must reach the
+        // verifier on real code, not just on the bundled unit.
+        let kernels = mao_corpus::kernels::paper_suite(4);
+        let units = std::iter::once(SMOKE_ASM).chain(kernels.iter().map(|w| w.asm.as_str()));
+        let mut rejected = 0;
+        for asm in units {
+            let (unit, stats, obs) = run_superopt(asm, "SUPEROPT=seed[42],inject-bogus-rewrite");
+            // One bogus rewrite per searchable window, each rejected.
+            let injected = obs
+                .metrics
+                .counter_value("mao_superopt_injected_rejected_total");
+            assert_eq!(injected, stats.matches as u64, "{asm}");
+            rejected += injected;
+            // Output identical to the non-injected run: the bogus candidate
+            // never reaches the edit stream.
+            let (clean, _, _) = run_superopt(asm, "SUPEROPT=seed[42]");
+            assert_eq!(unit.emit(), clean.emit());
+        }
+        assert!(rejected > 10, "{rejected} injections rejected");
     }
 
     #[test]

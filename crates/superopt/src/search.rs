@@ -23,6 +23,7 @@
 //! best fully-agreeing candidate is re-verified with the complete
 //! two-phase check before being returned.
 
+use mao_x86::cost::CostModel;
 use mao_x86::operand::{Mem, Operand};
 use mao_x86::{encoded_length, BranchForm, Instruction, Mnemonic, Reg, RegId, Width};
 use rand::rngs::StdRng;
@@ -37,7 +38,9 @@ pub struct SearchCfg {
     pub enum_max: usize,
     /// Metropolis iterations for longer windows.
     pub iters: u64,
-    /// Cap on fully verified candidates per window.
+    /// Cap on enumerative candidates tried per window. Every candidate run
+    /// against the verifier counts, phase-1 rejects included; the
+    /// stochastic stage is bounded by `iters` instead.
     pub max_candidates: u64,
 }
 
@@ -62,20 +65,22 @@ pub struct SearchCounters {
     pub oracle_rejects: u64,
 }
 
-/// Cost of one instruction: modeled latency (×16, from the installed cost
-/// table) plus encoded length.
-pub fn insn_cost(insn: &Instruction) -> Option<u64> {
+/// Cost of one instruction under `model`: modeled latency (×16) plus
+/// encoded length.
+pub fn insn_cost(model: &CostModel, insn: &Instruction) -> Option<u64> {
     let len = encoded_length(insn, BranchForm::Rel32).ok()? as u64;
-    Some(mao_x86::cost::current().latency(insn) * 16 + len)
+    Some(model.latency(insn) * 16 + len)
 }
 
-/// Cost of a candidate sequence; `None` if any instruction is unencodable.
-pub fn cost(insns: &[Instruction]) -> Option<u64> {
-    insns.iter().map(insn_cost).sum()
+/// Cost of a candidate sequence under `model`; `None` if any instruction
+/// is unencodable.
+pub fn cost(model: &CostModel, insns: &[Instruction]) -> Option<u64> {
+    insns.iter().map(|i| insn_cost(model, i)).sum()
 }
 
 /// Search for a strictly cheaper, verified replacement of `window`
-/// (canonical register space). Returns the replacement or `None`.
+/// (canonical register space), priced under the installed cost model.
+/// Returns the replacement or `None`.
 pub fn search(
     window: &[Instruction],
     verifier: &Verifier,
@@ -83,14 +88,15 @@ pub fn search(
     rng: &mut StdRng,
     counters: &mut SearchCounters,
 ) -> Option<Vec<Instruction>> {
-    let orig_cost = cost(window)?;
+    let model = mao_x86::cost::current();
+    let orig_cost = cost(&model, window)?;
     let mut candidates = subsequences(window);
     candidates.extend(templates(window).into_iter().map(|t| vec![t]));
     // Cheapest first; generation order breaks ties, so the result is
     // deterministic for a given window.
     let mut priced: Vec<(u64, Vec<Instruction>)> = candidates
         .into_iter()
-        .filter_map(|c| cost(&c).map(|k| (k, c)))
+        .filter_map(|c| cost(&model, &c).map(|k| (k, c)))
         .filter(|(k, _)| *k < orig_cost)
         .collect();
     priced.sort_by_key(|(k, _)| *k);
@@ -107,14 +113,14 @@ pub fn search(
         }
     }
     if window.len() > cfg.enum_max {
-        return metropolis(window, orig_cost, verifier, cfg, rng, counters);
+        return metropolis(window, &model, orig_cost, verifier, cfg, rng, counters);
     }
     None
 }
 
 /// Every proper subsequence of the window (including the empty one),
 /// cheapest wins later via sorting.
-fn subsequences(window: &[Instruction]) -> Vec<Vec<Instruction>> {
+pub(crate) fn subsequences(window: &[Instruction]) -> Vec<Vec<Instruction>> {
     let l = window.len().min(8);
     let full = (1u32 << l) - 1;
     (0..full)
@@ -181,7 +187,7 @@ fn window_widths(window: &[Instruction]) -> Vec<Width> {
 
 /// The single-instruction template pool over the window's registers,
 /// memory operands, and (derived) immediates.
-fn templates(window: &[Instruction]) -> Vec<Instruction> {
+pub(crate) fn templates(window: &[Instruction]) -> Vec<Instruction> {
     let regs = window_regs(window);
     let mems = window_mems(window);
     let imms = derived_imms(window);
@@ -296,6 +302,7 @@ const TEMPERATURE: f64 = 20_000.0;
 /// Stochastic mutate/accept search for windows too long to enumerate.
 fn metropolis(
     window: &[Instruction],
+    model: &CostModel,
     orig_cost: u64,
     verifier: &Verifier,
     cfg: &SearchCfg,
@@ -306,8 +313,9 @@ fn metropolis(
     if pool.is_empty() {
         return None;
     }
-    let score_of = |c: &[Instruction], counters: &mut SearchCounters| -> u64 {
-        let Some(k) = cost(c) else {
+    // Score of a candidate of cost `k`.
+    let score_of = |c: &[Instruction], k: Option<u64>, counters: &mut SearchCounters| -> u64 {
+        let Some(k) = k else {
             return u64::MAX / 2;
         };
         counters.candidates += 1;
@@ -322,13 +330,14 @@ fn metropolis(
         }
     };
     let mut current: Vec<Instruction> = window.to_vec();
-    let mut current_score = cost(window).unwrap_or(u64::MAX / 2);
+    let mut current_score = orig_cost;
     let mut best: Option<(u64, Vec<Instruction>)> = None;
     for _ in 0..cfg.iters {
         let mut next = current.clone();
         mutate(&mut next, &pool, window.len(), rng);
-        let next_score = score_of(&next, counters);
-        let next_cost = cost(&next).unwrap_or(u64::MAX);
+        let next_cost = cost(model, &next);
+        let next_score = score_of(&next, next_cost, counters);
+        let next_cost = next_cost.unwrap_or(u64::MAX);
         if accept_uphill(next_score, current_score, rng) {
             current = next.clone();
             current_score = next_score;
@@ -366,7 +375,12 @@ fn accept_uphill(next: u64, current: u64, rng: &mut StdRng) -> bool {
 }
 
 /// One random mutation: delete, insert, replace, swap, or immediate tweak.
-fn mutate(c: &mut Vec<Instruction>, pool: &[Instruction], max_len: usize, rng: &mut StdRng) {
+pub(crate) fn mutate(
+    c: &mut Vec<Instruction>,
+    pool: &[Instruction],
+    max_len: usize,
+    rng: &mut StdRng,
+) {
     let kind = rng.random_range(0..5u32);
     match kind {
         0 if !c.is_empty() => {
