@@ -277,7 +277,11 @@ fn cmd_client(args: &[String]) -> ExitCode {
                 "--timeout-ms" => timeout_ms = Some(parser.numeric("--timeout-ms")?),
                 "--timeout" => {
                     let secs: f64 = parser.numeric("--timeout")?;
-                    client_timeout = Some(std::time::Duration::from_secs_f64(secs.max(0.001)));
+                    let timeout = std::time::Duration::try_from_secs_f64(secs).map_err(|_| {
+                        format!("--timeout `{secs}` is not a valid number of seconds")
+                    })?;
+                    // A zero socket timeout is an error; round up to 1 ms.
+                    client_timeout = Some(timeout.max(std::time::Duration::from_millis(1)));
                 }
                 "--no-cache" => use_cache = false,
                 "-o" | "--out" => out = Some(parser.value("-o")?.to_string()),

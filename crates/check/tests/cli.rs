@@ -132,3 +132,40 @@ fn missing_input_fails() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("usage"));
 }
+
+/// `mao client --timeout` takes seconds as a float; values that are not a
+/// representable, non-negative duration are usage errors (exit 1), never a
+/// panic and never silently clamped. Parsing happens before connecting, so
+/// no daemon is needed.
+#[test]
+fn client_rejects_unrepresentable_timeouts() {
+    let sock = std::env::temp_dir().join("mao-cli-tests-no-daemon.sock");
+    let listen = format!("unix:{}", sock.display());
+    let client = |timeout: &str| {
+        mao()
+            .args([
+                "client",
+                "--listen",
+                &listen,
+                "--ping",
+                "--timeout",
+                timeout,
+            ])
+            .output()
+            .expect("driver runs")
+    };
+    for bad in ["inf", "-inf", "1e30", "nan", "-1", "-0.5"] {
+        let out = client(bad);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "--timeout {bad}: {stderr}");
+        assert!(
+            stderr.contains("mao client: --timeout") && stderr.contains("usage"),
+            "--timeout {bad}: {stderr}"
+        );
+    }
+    // A valid value gets past parsing and fails only at the connection.
+    let out = client("0.5");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("cannot connect"), "{stderr}");
+}

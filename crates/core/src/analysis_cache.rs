@@ -25,6 +25,8 @@ use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
+use mao_obs::Counter;
+
 use crate::cfg::Cfg;
 use crate::dataflow::{Liveness, ReachingDefs};
 use crate::isa::IsaId;
@@ -60,8 +62,9 @@ const LAYOUT_CAPACITY: usize = 64;
 /// `mao-serve`'s `layout_disk`), so a daemon restart — or another instance
 /// sharing the directory — skips straight past branch-relaxation fixpoint
 /// solves for units it has laid out before. The trait lives in core because
-/// [`AnalysisCache::relaxed`] owns the only spot that knows both the key
-/// and whether the memory tier missed; core itself ships no implementation.
+/// the cache's layout lookup ([`AnalysisCache::layout`]) is the only spot
+/// that knows both the key and whether the memory tier missed; core itself
+/// ships no implementation.
 pub trait LayoutStore: Send + Sync + std::fmt::Debug {
     /// A previously stored layout for `key`, if one decodes cleanly *and*
     /// was solved for the same instruction set (a frame tagged with a
@@ -206,19 +209,6 @@ struct LayoutState {
     clock: u64,
 }
 
-/// Counter handles mirroring the cache's internal counters into a metrics
-/// registry, attached once via [`AnalysisCache::attach_metrics`].
-#[derive(Debug)]
-struct CacheMetrics {
-    hits: mao_obs::Counter,
-    misses: mao_obs::Counter,
-    evictions: mao_obs::Counter,
-    layout_hits: mao_obs::Counter,
-    layout_misses: mao_obs::Counter,
-    layout_disk_hits: mao_obs::Counter,
-    layout_disk_misses: mao_obs::Counter,
-}
-
 /// Shared, thread-safe per-function analysis cache.
 #[derive(Debug, Default)]
 pub struct AnalysisCache {
@@ -229,16 +219,15 @@ pub struct AnalysisCache {
     layout_store: OnceLock<Arc<dyn LayoutStore>>,
     /// Maximum number of cached functions (0 = unbounded).
     capacity: AtomicU64,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-    layout_hits: AtomicU64,
-    layout_misses: AtomicU64,
-    layout_disk_hits: AtomicU64,
-    layout_disk_misses: AtomicU64,
-    /// Registry counters updated alongside the atomics above (absent until
-    /// [`AnalysisCache::attach_metrics`]).
-    metrics: OnceLock<CacheMetrics>,
+    /// One cell per [`CacheStats`] counter: `stats()` reads these, and
+    /// [`AnalysisCache::attach_metrics`] registers the same cells.
+    hits: Counter,
+    misses: Counter,
+    evictions: Counter,
+    layout_hits: Counter,
+    layout_misses: Counter,
+    layout_disk_hits: Counter,
+    layout_disk_misses: Counter,
 }
 
 impl AnalysisCache {
@@ -260,11 +249,12 @@ impl AnalysisCache {
         self.capacity.load(Ordering::Relaxed) as usize
     }
 
-    /// Mirror this cache's counters into `metrics` (families
+    /// Register this cache's counter cells in `metrics` (families
     /// `mao_analysis_cache_{hits,misses,evictions}_total` and
-    /// `mao_layout_cache_{hits,misses}_total`). Only the first attachment
-    /// takes; later calls are no-ops, so a long-lived cache keeps feeding
-    /// one registry.
+    /// `mao_layout_cache_{hits,misses,disk_hits,disk_misses}_total`). The
+    /// registry renders the cells `stats()` reads, counts made before the
+    /// attachment included; attaching again to the same registry is a
+    /// no-op.
     pub fn attach_metrics(&self, metrics: &mao_obs::Metrics) {
         self.attach_metrics_labeled(metrics, &[]);
     }
@@ -273,20 +263,24 @@ impl AnalysisCache {
     /// `labels` — this is how `maod`'s per-shard caches register as
     /// distinct `{shard="N"}` series in one registry.
     pub fn attach_metrics_labeled(&self, metrics: &mao_obs::Metrics, labels: &[(&str, &str)]) {
-        let _ = self.metrics.set(CacheMetrics {
-            hits: metrics.counter_with("mao_analysis_cache_hits_total", labels),
-            misses: metrics.counter_with("mao_analysis_cache_misses_total", labels),
-            evictions: metrics.counter_with("mao_analysis_cache_evictions_total", labels),
-            layout_hits: metrics.counter_with("mao_layout_cache_hits_total", labels),
-            layout_misses: metrics.counter_with("mao_layout_cache_misses_total", labels),
-            layout_disk_hits: metrics.counter_with("mao_layout_cache_disk_hits_total", labels),
-            layout_disk_misses: metrics.counter_with("mao_layout_cache_disk_misses_total", labels),
-        });
+        for (family, cell) in [
+            ("mao_analysis_cache_hits_total", &self.hits),
+            ("mao_analysis_cache_misses_total", &self.misses),
+            ("mao_analysis_cache_evictions_total", &self.evictions),
+            ("mao_layout_cache_hits_total", &self.layout_hits),
+            ("mao_layout_cache_misses_total", &self.layout_misses),
+            ("mao_layout_cache_disk_hits_total", &self.layout_disk_hits),
+            (
+                "mao_layout_cache_disk_misses_total",
+                &self.layout_disk_misses,
+            ),
+        ] {
+            metrics.adopt(family, labels, cell);
+        }
     }
 
     /// Attach a persistent layout tier consulted when the in-memory layout
-    /// slot misses. First attachment wins; later calls are no-ops, matching
-    /// [`AnalysisCache::attach_metrics`].
+    /// slot misses. First attachment wins; later calls are no-ops.
     pub fn set_layout_store(&self, store: Arc<dyn LayoutStore>) {
         let _ = self.layout_store.set(store);
     }
@@ -308,17 +302,11 @@ impl AnalysisCache {
         if let Some(existing) = state.map.get_mut(&function.name) {
             if existing.1.key == key {
                 existing.0 = stamp;
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                if let Some(m) = self.metrics.get() {
-                    m.hits.inc();
-                }
+                self.hits.inc();
                 return existing.1.clone();
             }
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        if let Some(m) = self.metrics.get() {
-            m.misses.inc();
-        }
+        self.misses.inc();
         let fresh = Arc::new(FunctionAnalyses {
             key,
             ..FunctionAnalyses::default()
@@ -338,10 +326,7 @@ impl AnalysisCache {
                     .map(|(name, _)| name.clone())
                     .expect("non-empty map over capacity");
                 state.map.remove(&lru);
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-                if let Some(m) = self.metrics.get() {
-                    m.evictions.inc();
-                }
+                self.evictions.inc();
             }
         }
         fresh
@@ -365,17 +350,11 @@ impl AnalysisCache {
             let stamp = layouts.clock;
             if let Some(entry) = layouts.map.get_mut(&key) {
                 entry.0 = stamp;
-                self.layout_hits.fetch_add(1, Ordering::Relaxed);
-                if let Some(m) = self.metrics.get() {
-                    m.layout_hits.inc();
-                }
+                self.layout_hits.inc();
                 return Ok(entry.1.clone());
             }
         }
-        self.layout_misses.fetch_add(1, Ordering::Relaxed);
-        if let Some(m) = self.metrics.get() {
-            m.layout_misses.inc();
-        }
+        self.layout_misses.inc();
         // Memory miss: try the persistent tier before paying for a fixpoint
         // solve. A disk layout is adopted only if it pairs cleanly with a
         // freshly built fragment model (`Relaxed::from_layout` length-checks
@@ -386,20 +365,10 @@ impl AnalysisCache {
             fresh = store
                 .load(key, unit.isa())
                 .and_then(|layout| Relaxed::from_layout(unit, layout));
-            let (counter, cell) = if fresh.is_some() {
-                (
-                    &self.layout_disk_hits,
-                    self.metrics.get().map(|m| &m.layout_disk_hits),
-                )
+            if fresh.is_some() {
+                self.layout_disk_hits.inc();
             } else {
-                (
-                    &self.layout_disk_misses,
-                    self.metrics.get().map(|m| &m.layout_disk_misses),
-                )
-            };
-            counter.fetch_add(1, Ordering::Relaxed);
-            if let Some(cell) = cell {
-                cell.inc();
+                self.layout_disk_misses.inc();
             }
         }
         let fresh = match fresh {
@@ -451,13 +420,13 @@ impl AnalysisCache {
     /// Cumulative hit/miss/eviction counters.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            layout_hits: self.layout_hits.load(Ordering::Relaxed),
-            layout_misses: self.layout_misses.load(Ordering::Relaxed),
-            layout_disk_hits: self.layout_disk_hits.load(Ordering::Relaxed),
-            layout_disk_misses: self.layout_disk_misses.load(Ordering::Relaxed),
+            hits: self.hits.get(),
+            misses: self.misses.get(),
+            evictions: self.evictions.get(),
+            layout_hits: self.layout_hits.get(),
+            layout_misses: self.layout_misses.get(),
+            layout_disk_hits: self.layout_disk_hits.get(),
+            layout_disk_misses: self.layout_disk_misses.get(),
         }
     }
 }

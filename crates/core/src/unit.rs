@@ -11,7 +11,7 @@
 //! `switch`) has multiple [`Function::spans`] and its iterator walks them
 //! transparently, exactly as §II requires.
 //!
-//! The views live in a lazily built [`UnitIndex`] that [`MaoUnit::apply`]
+//! The views live in a lazily built `UnitIndex` that [`MaoUnit::apply`]
 //! patches in place when an [`EditSet`] only touches entries strictly inside
 //! function bodies (the common case for peephole passes). Structural edits —
 //! anything inserting or removing labels, section directives, or `.type`

@@ -36,7 +36,9 @@ use std::collections::HashMap;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::Mutex;
+
+use mao_obs::Counter;
 
 use crate::{Frame, Kind, Reader};
 
@@ -103,15 +105,6 @@ pub struct StoreStats {
     pub max_bytes: u64,
     /// Did startup recover state from the index file (vs a directory scan)?
     pub opened_from_index: bool,
-}
-
-/// Registry mirrors of the counters (attached at most once).
-struct StoreMetrics {
-    hits: mao_obs::Counter,
-    misses: mao_obs::Counter,
-    insertions: mao_obs::Counter,
-    evictions: mao_obs::Counter,
-    corrupt: mao_obs::Counter,
 }
 
 struct IndexEntry {
@@ -238,12 +231,13 @@ pub struct ArtifactStore {
     config: StoreConfig,
     index: Mutex<Index>,
     tmp_counter: AtomicU64,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    insertions: AtomicU64,
-    evictions: AtomicU64,
-    corrupt: AtomicU64,
-    metrics: OnceLock<StoreMetrics>,
+    /// One cell per [`StoreStats`] event counter: `stats()` reads these,
+    /// and [`ArtifactStore::attach_metrics`] registers the same cells.
+    hits: Counter,
+    misses: Counter,
+    insertions: Counter,
+    evictions: Counter,
+    corrupt: Counter,
 }
 
 impl ArtifactStore {
@@ -282,12 +276,11 @@ impl ArtifactStore {
             index: Mutex::new(index),
             config,
             tmp_counter: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            insertions: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            corrupt: AtomicU64::new(0),
-            metrics: OnceLock::new(),
+            hits: Counter::default(),
+            misses: Counter::default(),
+            insertions: Counter::default(),
+            evictions: Counter::default(),
+            corrupt: Counter::default(),
         })
     }
 
@@ -296,16 +289,19 @@ impl ArtifactStore {
         &self.config.dir
     }
 
-    /// Mirror the counters into `metrics` as `{prefix}_{hits,misses,
-    /// insertions,evictions,corrupt}_total`. First attachment wins.
+    /// Register the counter cells in `metrics` as `{prefix}_{hits,misses,
+    /// insertions,evictions,corrupt}_total`: the registry renders the cells
+    /// `stats()` reads, counts made before the attachment included.
     pub fn attach_metrics(&self, metrics: &mao_obs::Metrics, prefix: &str) {
-        let _ = self.metrics.set(StoreMetrics {
-            hits: metrics.counter(&format!("{prefix}_hits_total")),
-            misses: metrics.counter(&format!("{prefix}_misses_total")),
-            insertions: metrics.counter(&format!("{prefix}_insertions_total")),
-            evictions: metrics.counter(&format!("{prefix}_evictions_total")),
-            corrupt: metrics.counter(&format!("{prefix}_corrupt_total")),
-        });
+        for (event, cell) in [
+            ("hits", &self.hits),
+            ("misses", &self.misses),
+            ("insertions", &self.insertions),
+            ("evictions", &self.evictions),
+            ("corrupt", &self.corrupt),
+        ] {
+            metrics.adopt(&format!("{prefix}_{event}_total"), &[], cell);
+        }
     }
 
     /// Path of `key`'s entry file.
@@ -326,7 +322,7 @@ impl ArtifactStore {
             Err(_) => {
                 // Not present — or present under another instance and
                 // vanished mid-read; either way a miss.
-                self.count_miss();
+                self.misses.inc();
                 self.note_mutation(|index| index.forget(key));
                 return None;
             }
@@ -343,29 +339,16 @@ impl ArtifactStore {
                 self.maybe_persist(&mut index);
             }
             drop(index);
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            if let Some(m) = self.metrics.get() {
-                m.hits.inc();
-            }
+            self.hits.inc();
             decoded
         } else {
             // Truncated, corrupted, stale version, wrong key, or a body
             // the kind's decoder rejects.
             let _ = std::fs::remove_file(&path);
             self.note_mutation(|index| index.forget(key));
-            self.corrupt.fetch_add(1, Ordering::Relaxed);
-            if let Some(m) = self.metrics.get() {
-                m.corrupt.inc();
-            }
-            self.count_miss();
+            self.corrupt.inc();
+            self.misses.inc();
             None
-        }
-    }
-
-    fn count_miss(&self) {
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        if let Some(m) = self.metrics.get() {
-            m.misses.inc();
         }
     }
 
@@ -399,10 +382,7 @@ impl ArtifactStore {
             let _ = std::fs::remove_file(&tmp);
             return;
         }
-        self.insertions.fetch_add(1, Ordering::Relaxed);
-        if let Some(m) = self.metrics.get() {
-            m.insertions.inc();
-        }
+        self.insertions.inc();
         let victims: Vec<u128> = {
             let mut index = self.index.lock().unwrap();
             index.touch(key, bytes.len() as u64, false);
@@ -416,10 +396,7 @@ impl ArtifactStore {
         };
         for victim in victims {
             let _ = std::fs::remove_file(self.path_of(victim));
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-            if let Some(m) = self.metrics.get() {
-                m.evictions.inc();
-            }
+            self.evictions.inc();
         }
     }
 
@@ -427,11 +404,11 @@ impl ArtifactStore {
     pub fn stats(&self) -> StoreStats {
         let index = self.index.lock().unwrap();
         StoreStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            insertions: self.insertions.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            corrupt: self.corrupt.load(Ordering::Relaxed),
+            hits: self.hits.get(),
+            misses: self.misses.get(),
+            insertions: self.insertions.get(),
+            evictions: self.evictions.get(),
+            corrupt: self.corrupt.get(),
             bytes: index.total_bytes,
             entries: index.map.len() as u64,
             protected_bytes: index.protected_bytes,
@@ -441,7 +418,7 @@ impl ArtifactStore {
     }
 
     /// Write the index file now (atomic tmp+rename). Also runs on drop and
-    /// automatically every [`INDEX_PERSIST_EVERY`] mutations.
+    /// automatically every 64 mutations (`INDEX_PERSIST_EVERY`).
     pub fn persist_index(&self) -> io::Result<()> {
         let mut index = self.index.lock().unwrap();
         self.write_index(&index)?;

@@ -161,6 +161,25 @@ impl Metrics {
             .clone()
     }
 
+    /// Register `counter` itself as the `family{labels}` series, so a
+    /// subsystem that owns its counter cells (a cache, a store) exposes
+    /// them here without a second copy: the registry renders the caller's
+    /// cell, including whatever it counted before adoption. Adopting the
+    /// cell a series already holds is a no-op; the series must not hold
+    /// another cell.
+    pub fn adopt(&self, family: &str, labels: &[(&str, &str)], counter: &Counter) {
+        let mut reg = self.registry.lock().unwrap();
+        let previous = reg
+            .counters
+            .entry(family.to_string())
+            .or_default()
+            .insert(sorted_labels(labels), counter.clone());
+        debug_assert!(
+            previous.is_none_or(|p| Arc::ptr_eq(&p.value, &counter.value)),
+            "series {family}{labels:?} already holds another counter"
+        );
+    }
+
     /// The histogram for `family` with no labels; `bounds` applies only on
     /// first registration.
     pub fn histogram(&self, family: &str, bounds: &[u64]) -> Histogram {
@@ -251,6 +270,21 @@ mod tests {
         b.add(2);
         assert_eq!(m.counter_value("mao_things_total"), 3);
         assert_eq!(a.get(), 3, "handles share one cell");
+    }
+
+    #[test]
+    fn adopted_cells_render_counts_made_before_adoption() {
+        let m = Metrics::new();
+        let own = Counter::default();
+        own.add(4);
+        m.adopt("mao_owned_total", &[("shard", "0")], &own);
+        m.adopt("mao_owned_total", &[("shard", "0")], &own);
+        own.inc();
+        assert_eq!(
+            m.counter_with("mao_owned_total", &[("shard", "0")]).get(),
+            5
+        );
+        assert!(m.counter_lines().contains("mao_owned_total{shard=\"0\"} 5"));
     }
 
     #[test]

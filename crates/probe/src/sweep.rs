@@ -1,6 +1,6 @@
 //! The calibration sweep: catalog × DAG shapes → a fitted [`CostModel`].
 //!
-//! For every [`ProbeSpec`](crate::catalog::ProbeSpec) the sweep measures
+//! For every [`ProbeSpec`] the sweep measures
 //! the CYCLE, DISJOINT and (for two-register templates) CHAIN shapes, fits
 //! a per-mnemonic cost with [`solver::fit`](crate::solver::fit), measures
 //! the machine parameters the alignment passes key off (LSD window,

@@ -55,8 +55,8 @@ impl DiskCache {
         self.store.dir()
     }
 
-    /// Mirror the counters into `metrics` as the
-    /// `mao_result_cache_disk_*_total` families. First attachment wins.
+    /// Register the store's counter cells in `metrics` as the
+    /// `mao_result_cache_disk_*_total` families.
     pub fn attach_metrics(&self, metrics: &mao::obs::Metrics) {
         self.store.attach_metrics(metrics, "mao_result_cache_disk");
     }

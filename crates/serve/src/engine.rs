@@ -26,8 +26,8 @@
 //!    cache for next time. Oversized inputs are rejected up front.
 //! 4. **Observability** — the engine owns an aggregating [`Obs`] bundle:
 //!    every request is a span, queue-wait and service time feed
-//!    histograms, every cache mirrors its counters into the registry
-//!    (per-shard analysis caches as `{shard="N"}` series), and the
+//!    histograms, every cache registers its own counter cells in the
+//!    registry (per-shard analysis caches as `{shard="N"}` series), and the
 //!    pipeline runs under [`run_pipeline_observed`]. The `stats` request
 //!    renders a consolidated [`StatsSnapshot`]; the `metrics` request
 //!    renders the registry as Prometheus text.
@@ -328,7 +328,7 @@ impl Engine {
                 snapshot_hits: obs.metrics.counter("mao_frontend_snapshot_hits_total"),
                 snapshot_misses: obs.metrics.counter("mao_frontend_snapshot_misses_total"),
                 parse_us_total: AtomicU64::new(0),
-                stats: ServerStats::new(&obs.metrics),
+                stats: ServerStats::new(obs.metrics.clone()),
                 queue_wait_us: obs
                     .metrics
                     .histogram("mao_request_queue_wait_us", US_BUCKETS),

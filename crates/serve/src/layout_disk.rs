@@ -136,7 +136,7 @@ impl DiskLayoutStore {
         })
     }
 
-    /// Mirror counters as `mao_layout_store_disk_*_total`.
+    /// Register the store's counter cells as `mao_layout_store_disk_*_total`.
     pub fn attach_metrics(&self, metrics: &mao::obs::Metrics) {
         self.store.attach_metrics(metrics, "mao_layout_store_disk");
     }

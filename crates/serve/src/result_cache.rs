@@ -17,24 +17,19 @@
 //!   is what makes restarts begin warm and lets multiple `maod` instances
 //!   share artifacts via a common directory.
 //!
-//! Hit/miss/eviction/insertion counters for both tiers feed the `stats`
-//! endpoint and the Prometheus scrape.
+//! Hit/miss/eviction/insertion counters for both tiers are one set of
+//! cells each: the `stats` endpoint reads them, and the Prometheus scrape
+//! renders the same cells once [`ResultCache::attach_metrics`] registers
+//! them.
 
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
+
+use mao::obs::Counter;
 
 use crate::disk_cache::DiskCache;
 use crate::protocol::OptimizeOutcome;
-
-/// Registry mirrors of the cache counters (attached at most once).
-struct CacheMetrics {
-    hits: mao::obs::Counter,
-    misses: mao::obs::Counter,
-    evictions: mao::obs::Counter,
-    insertions: mao::obs::Counter,
-}
 
 /// 128-bit content key of a request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -130,11 +125,10 @@ pub struct ResultCache {
     state: Mutex<CacheState>,
     capacity: usize,
     disk: Option<DiskCache>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-    insertions: AtomicU64,
-    metrics: OnceLock<CacheMetrics>,
+    hits: Counter,
+    misses: Counter,
+    evictions: Counter,
+    insertions: Counter,
 }
 
 impl ResultCache {
@@ -153,11 +147,10 @@ impl ResultCache {
             }),
             capacity,
             disk,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            insertions: AtomicU64::new(0),
-            metrics: OnceLock::new(),
+            hits: Counter::default(),
+            misses: Counter::default(),
+            evictions: Counter::default(),
+            insertions: Counter::default(),
         }
     }
 
@@ -166,18 +159,19 @@ impl ResultCache {
         self.disk.as_ref()
     }
 
-    /// Mirror this cache's counters into `metrics` as the
+    /// Register this cache's counter cells in `metrics` as the
     /// `mao_result_cache_*_total` families (and the disk tier's as
-    /// `mao_result_cache_disk_*_total`). First attachment wins; the
-    /// registry copies start at the attach point (they are exposure
-    /// counters, not a replay of history).
+    /// `mao_result_cache_disk_*_total`). The registry renders the cells
+    /// `stats()` reads, counts made before the attachment included.
     pub fn attach_metrics(&self, metrics: &mao::obs::Metrics) {
-        let _ = self.metrics.set(CacheMetrics {
-            hits: metrics.counter("mao_result_cache_hits_total"),
-            misses: metrics.counter("mao_result_cache_misses_total"),
-            evictions: metrics.counter("mao_result_cache_evictions_total"),
-            insertions: metrics.counter("mao_result_cache_insertions_total"),
-        });
+        for (family, cell) in [
+            ("mao_result_cache_hits_total", &self.hits),
+            ("mao_result_cache_misses_total", &self.misses),
+            ("mao_result_cache_evictions_total", &self.evictions),
+            ("mao_result_cache_insertions_total", &self.insertions),
+        ] {
+            metrics.adopt(family, &[], cell);
+        }
         if let Some(disk) = &self.disk {
             disk.attach_metrics(metrics);
         }
@@ -193,16 +187,10 @@ impl ResultCache {
             let stamp = state.clock;
             if let Some(entry) = state.map.get_mut(&key) {
                 entry.0 = stamp;
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                if let Some(m) = self.metrics.get() {
-                    m.hits.inc();
-                }
+                self.hits.inc();
                 return Some((entry.1.clone(), CacheTier::Memory));
             }
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            if let Some(m) = self.metrics.get() {
-                m.misses.inc();
-            }
+            self.misses.inc();
         }
         // Memory miss: consult the persistent tier outside the memory lock
         // (file reads must not serialize unrelated lookups).
@@ -228,10 +216,7 @@ impl ResultCache {
         state.clock += 1;
         let stamp = state.clock;
         state.map.insert(key, (stamp, outcome));
-        self.insertions.fetch_add(1, Ordering::Relaxed);
-        if let Some(m) = self.metrics.get() {
-            m.insertions.inc();
-        }
+        self.insertions.inc();
         if self.capacity > 0 {
             while state.map.len() > self.capacity {
                 let lru = state
@@ -241,10 +226,7 @@ impl ResultCache {
                     .map(|(k, _)| *k)
                     .expect("non-empty map over capacity");
                 state.map.remove(&lru);
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-                if let Some(m) = self.metrics.get() {
-                    m.evictions.inc();
-                }
+                self.evictions.inc();
             }
         }
     }
@@ -262,10 +244,10 @@ impl ResultCache {
     /// Counter snapshot (both tiers).
     pub fn stats(&self) -> ResultCacheStats {
         ResultCacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            insertions: self.insertions.load(Ordering::Relaxed),
+            hits: self.hits.get(),
+            misses: self.misses.get(),
+            evictions: self.evictions.get(),
+            insertions: self.insertions.get(),
             len: self.len(),
             capacity: self.capacity,
             disk: self.disk.as_ref().map(DiskCache::stats),

@@ -69,7 +69,8 @@ impl SnapshotStore {
         self.store.put(key, &snapshot::encode(entries, key));
     }
 
-    /// Mirror counters as `mao_frontend_snapshot_store_*_total`.
+    /// Register the store's counter cells as
+    /// `mao_frontend_snapshot_store_*_total`.
     pub fn attach_metrics(&self, metrics: &mao::obs::Metrics) {
         self.store
             .attach_metrics(metrics, "mao_frontend_snapshot_store");

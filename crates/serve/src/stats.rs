@@ -1,16 +1,17 @@
 //! Server-side observability counters and the `stats` snapshot.
 //!
 //! [`ServerStats`] registers its request counters directly in the engine's
-//! `mao_obs::Metrics` registry, so the same cells feed both the JSON
-//! `stats` response and the Prometheus `metrics` export — there is no
-//! second set of numbers to drift. A point-in-time [`StatsSnapshot`]
+//! `mao_obs::Metrics` registry, and every cache and store registers its own
+//! counter cells there too, so the same cells feed both the JSON `stats`
+//! response and the Prometheus `metrics` export — there is no second set
+//! of numbers to drift. A point-in-time [`StatsSnapshot`]
 //! consolidates what used to be three separate accessors (service
 //! counters, result-cache stats, analysis-cache stats) and renders through
 //! the single [`StatsSnapshot::to_json`] path.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use mao::obs::{Counter, Metrics, SpanTotal};
@@ -60,60 +61,37 @@ pub struct ServerStats {
     isa_requests: Vec<Counter>,
     /// Pass name → (invocations, cumulative microseconds).
     pass_timings: Mutex<BTreeMap<String, (u64, u64)>>,
-    /// Handles into the `mao_superopt_*` counter families the SUPEROPT
-    /// pass increments when it runs inside this engine's pipelines.
-    /// Registered here (at zero) so the families exist — and render in
-    /// both `stats` and the Prometheus export — before the first request.
-    superopt: SuperoptCounters,
+    /// The registry the counters live in; the SUPEROPT pass's
+    /// [`SUPEROPT_FAMILIES`] are read from it at snapshot time.
+    metrics: Arc<Metrics>,
 }
 
-/// The SUPEROPT pass's counter handles (see `mao-superopt`'s `Counters`;
-/// same family names, same cells).
-struct SuperoptCounters {
-    windows: Counter,
-    searches: Counter,
-    rewrites: Counter,
-    cache_hits: Counter,
-    cache_misses: Counter,
-    diff_rejects: Counter,
-    oracle_rejects: Counter,
-}
-
-impl SuperoptCounters {
-    fn new(metrics: &Metrics) -> SuperoptCounters {
-        SuperoptCounters {
-            windows: metrics.counter("mao_superopt_windows_total"),
-            searches: metrics.counter("mao_superopt_searches_total"),
-            rewrites: metrics.counter("mao_superopt_rewrites_total"),
-            cache_hits: metrics.counter("mao_superopt_cache_hits_total"),
-            cache_misses: metrics.counter("mao_superopt_cache_misses_total"),
-            diff_rejects: metrics.counter("mao_superopt_diff_rejects_total"),
-            oracle_rejects: metrics.counter("mao_superopt_oracle_rejects_total"),
-        }
-    }
-
-    fn snapshot(&self) -> SuperoptStats {
-        SuperoptStats {
-            windows: self.windows.get(),
-            searches: self.searches.get(),
-            rewrites: self.rewrites.get(),
-            cache_hits: self.cache_hits.get(),
-            cache_misses: self.cache_misses.get(),
-            diff_rejects: self.diff_rejects.get(),
-            oracle_rejects: self.oracle_rejects.get(),
-        }
-    }
-}
+/// The counter families the SUPEROPT pass increments when it runs inside
+/// this engine's pipelines, in [`SuperoptStats`] field order. [`ServerStats`]
+/// registers them at zero, so they render in both `stats` and the
+/// Prometheus export before the first request.
+const SUPEROPT_FAMILIES: [&str; 7] = [
+    "mao_superopt_windows_total",
+    "mao_superopt_searches_total",
+    "mao_superopt_rewrites_total",
+    "mao_superopt_cache_hits_total",
+    "mao_superopt_cache_misses_total",
+    "mao_superopt_diff_rejects_total",
+    "mao_superopt_oracle_rejects_total",
+];
 
 impl Default for ServerStats {
     fn default() -> ServerStats {
-        ServerStats::new(&Metrics::new())
+        ServerStats::new(Arc::new(Metrics::new()))
     }
 }
 
 impl ServerStats {
     /// Fresh counters registered in `metrics`; uptime starts now.
-    pub fn new(metrics: &Metrics) -> ServerStats {
+    pub fn new(metrics: Arc<Metrics>) -> ServerStats {
+        for family in SUPEROPT_FAMILIES {
+            metrics.counter(family);
+        }
         ServerStats {
             started: Instant::now(),
             requests_total: metrics.counter("mao_requests_total"),
@@ -130,7 +108,7 @@ impl ServerStats {
                 .map(|isa| metrics.counter_with("mao_requests_isa_total", &[("isa", isa.name())]))
                 .collect(),
             pass_timings: Mutex::new(BTreeMap::new()),
-            superopt: SuperoptCounters::new(metrics),
+            metrics,
         }
     }
 
@@ -232,6 +210,8 @@ impl ServerStats {
             .iter()
             .map(|(name, (invocations, total_us))| (name.clone(), *invocations, *total_us))
             .collect();
+        let [windows, searches, rewrites, cache_hits, cache_misses, diff_rejects, oracle_rejects] =
+            SUPEROPT_FAMILIES.map(|family| self.metrics.counter_value(family));
         StatsSnapshot {
             schema_version: STATS_SCHEMA_VERSION,
             uptime_s: self.uptime_s(),
@@ -260,7 +240,15 @@ impl ServerStats {
             relax,
             per_pass_timings,
             span_totals,
-            superopt: self.superopt.snapshot(),
+            superopt: SuperoptStats {
+                windows,
+                searches,
+                rewrites,
+                cache_hits,
+                cache_misses,
+                diff_rejects,
+                oracle_rejects,
+            },
             frontend,
             cost_model: CostModelStats::current(),
         }
@@ -631,8 +619,8 @@ mod tests {
 
     #[test]
     fn snapshot_counts() {
-        let metrics = Metrics::new();
-        let stats = ServerStats::new(&metrics);
+        let metrics = Arc::new(Metrics::new());
+        let stats = ServerStats::new(metrics.clone());
         stats.begin_request();
         stats.record_pass_timings(&[("DCE".into(), 10), ("SCHED".into(), 20)]);
         stats.record_pass_timings(&[("DCE".into(), 5)]);
@@ -663,8 +651,8 @@ mod tests {
 
     #[test]
     fn superopt_counters_flow_from_the_metrics_registry() {
-        let metrics = Metrics::new();
-        let stats = ServerStats::new(&metrics);
+        let metrics = Arc::new(Metrics::new());
+        let stats = ServerStats::new(metrics.clone());
         // Zero until the pass runs, but the object (and the Prometheus
         // families) must exist from the first snapshot.
         let snap = snapshot_of(&stats);
@@ -689,8 +677,8 @@ mod tests {
 
     #[test]
     fn admission_counters_reconcile_and_render() {
-        let metrics = Metrics::new();
-        let stats = ServerStats::new(&metrics);
+        let metrics = Arc::new(Metrics::new());
+        let stats = ServerStats::new(metrics.clone());
         for _ in 0..5 {
             stats.record_offered();
         }

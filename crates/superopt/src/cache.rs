@@ -48,23 +48,12 @@ pub enum CachedResult {
     NoImprovement,
 }
 
-/// Cumulative counters for one cache instance.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct CacheStats {
-    /// Lookups answered (memory or disk).
-    pub hits: u64,
-    /// Lookups that found nothing.
-    pub misses: u64,
-    /// Corrupt or stale disk entries evicted instead of served.
-    pub corrupt: u64,
-}
-
 /// Two-tier rewrite store: an in-memory map always, a shared directory
-/// when configured.
+/// when configured. Hits and misses are counted by the pass
+/// (`mao_superopt_cache_{hits,misses}_total`), not here.
 pub struct RewriteCache {
     disk: Option<ArtifactStore>,
     mem: Mutex<HashMap<u128, CachedResult>>,
-    stats: Mutex<CacheStats>,
 }
 
 impl RewriteCache {
@@ -73,7 +62,6 @@ impl RewriteCache {
         RewriteCache {
             disk: None,
             mem: Mutex::new(HashMap::new()),
-            stats: Mutex::new(CacheStats::default()),
         }
     }
 
@@ -86,30 +74,20 @@ impl RewriteCache {
         })
     }
 
-    /// Counters so far.
-    pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            corrupt: self.disk.as_ref().map_or(0, |d| d.stats().corrupt),
-            ..*self.stats.lock().unwrap()
-        }
+    /// Corrupt or stale disk entries evicted instead of served so far.
+    pub fn corrupt(&self) -> u64 {
+        self.disk.as_ref().map_or(0, |d| d.stats().corrupt)
     }
 
     /// Look up a canonical window key.
     pub fn load(&self, key: u128) -> Option<CachedResult> {
         let in_memory = self.mem.lock().unwrap().get(&key).cloned();
-        let hit = in_memory.or_else(|| {
+        in_memory.or_else(|| {
             let disk = self.disk.as_ref()?;
             let result = disk.get(key, |frame| decode_body(frame.body).ok())?;
             self.mem.lock().unwrap().insert(key, result.clone());
             Some(result)
-        });
-        let mut stats = self.stats.lock().unwrap();
-        if hit.is_some() {
-            stats.hits += 1;
-        } else {
-            stats.misses += 1;
-        }
-        hit
+        })
     }
 
     /// Record a search result.
@@ -197,8 +175,6 @@ mod tests {
         );
         c.store(9, &CachedResult::NoImprovement);
         assert_eq!(c.load(9), Some(CachedResult::NoImprovement));
-        let s = c.stats();
-        assert_eq!((s.hits, s.misses), (2, 1));
     }
 
     #[test]
@@ -240,7 +216,7 @@ mod tests {
             let c2 = RewriteCache::persistent(&dir).unwrap();
             assert_eq!(c2.load(key), None);
             assert!(!path.exists(), "corrupt entry deleted");
-            assert_eq!(c2.stats().corrupt, 1);
+            assert_eq!(c2.corrupt(), 1);
             let _ = std::fs::remove_dir_all(&dir);
         }
     }

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
-# CI gate: formatting, release build, the full workspace test suite, and an
-# end-to-end daemon smoke test (start `mao serve`, round-trip a request via
-# `mao client`, confirm a repeat is served from cache, query stats, scrape
-# Prometheus metrics cold and warm, clean shutdown). Run from anywhere;
-# exits non-zero on the first failure.
+# CI gate: formatting, release build, rustdoc links, the full workspace test
+# suite, and an end-to-end daemon smoke test (start `mao serve`, round-trip
+# a request via `mao client`, confirm a repeat is served from cache, query
+# stats, scrape Prometheus metrics cold and warm, clean shutdown). Run from
+# anywhere; exits non-zero on the first failure.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -12,6 +12,12 @@ cargo fmt --all -- --check
 
 echo "==> cargo build --release"
 cargo build --release --workspace
+
+# Broken or private intra-doc links fail the build. `--lib` skips the
+# binaries: the `mao` lib and mao-check's `mao` bin would otherwise
+# collide on one output file name.
+echo "==> cargo doc"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --lib
 
 # Note: a bare `cargo test` at the root runs only the root package's suites;
 # --workspace is what pulls in every crate (mao-serve's e2e tests included).
